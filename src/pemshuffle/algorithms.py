@@ -146,27 +146,32 @@ def _merge_task(machine: Machine, p: int, srcs: Sequence[tuple[Region, int, int]
     outbuf: list[Element] = []
     out_w = 0
     written = 0
+    # (head key, source) of every source with buffered elements; the
+    # source index breaks ties, exactly as a scan for the least pair would
+    heap: list[tuple] = []
 
-    while True:
-        for s in range(k):
-            region, _, hi = srcs[s]
-            if heads[s] >= len(buffers[s]) and cursors[s] < hi:
-                blk_idx = cursors[s] // B
-                block = yield Input(region.addr(blk_idx))
-                base = blk_idx * B
-                keep = [e for off, e in enumerate(block)
-                        if cursors[s] <= base + off < hi]
-                buffers[s] = keep
-                heads[s] = 0
-                owned.update(keep)
-                cursors[s] = min(hi, base + len(block))
-                drop = [e for e in block if e not in owned]
-                if drop:
-                    machine.discard(p, drop)
-        live = [s for s in range(k) if heads[s] < len(buffers[s])]
-        if not live:
-            break
-        s = min(live, key=lambda s: (buffers[s][heads[s]].key, s))
+    def refill(s: int):
+        region, _, hi = srcs[s]
+        blk_idx = cursors[s] // B
+        block = yield Input(region.addr(blk_idx))
+        base = blk_idx * B
+        keep = [e for off, e in enumerate(block)
+                if cursors[s] <= base + off < hi]
+        buffers[s] = keep
+        heads[s] = 0
+        owned.update(keep)
+        cursors[s] = min(hi, base + len(block))
+        drop = [e for e in block if e not in owned]
+        if drop:
+            machine.discard(p, drop)
+        if keep:
+            heapq.heappush(heap, (keep[0].key, s))
+
+    for s in range(k):
+        if cursors[s] < srcs[s][2]:
+            yield from refill(s)
+    while heap:
+        s = heapq.heappop(heap)[1]
         e = buffers[s][heads[s]]
         heads[s] += 1
         if combine is not None and outbuf and outbuf[-1].key == e.key:
@@ -178,15 +183,19 @@ def _merge_task(machine: Machine, p: int, srcs: Sequence[tuple[Region, int, int]
             merged = machine.create(p, e.key, value)
             outbuf[-1] = merged
             owned.add(merged)
-            continue
-        if len(outbuf) == B:
-            yield Output(out_addrs[out_w], outbuf)
-            machine.discard(p, outbuf)
-            owned.difference_update(outbuf)
-            out_w += 1
-            written += B
-            outbuf = []
-        outbuf.append(e)
+        else:
+            if len(outbuf) == B:
+                yield Output(out_addrs[out_w], outbuf)
+                machine.discard(p, outbuf)
+                owned.difference_update(outbuf)
+                out_w += 1
+                written += B
+                outbuf = []
+            outbuf.append(e)
+        if heads[s] < len(buffers[s]):
+            heapq.heappush(heap, (buffers[s][heads[s]].key, s))
+        elif cursors[s] < srcs[s][2]:
+            yield from refill(s)
     if outbuf:
         yield Output(out_addrs[out_w], outbuf)
         machine.discard(p, outbuf)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Callable, Iterable
 
 from .machine import Element, IOTrace, Machine
@@ -340,98 +341,226 @@ class PotentialReport:
         return self.applicable and not self.violations
 
 
-class _PhiTracker:
-    """Incremental potential over a replayed trace.
+def _xlog2x(n: int) -> list[float]:
+    """f(x) = x log2 x tabulated for x = 0 .. n-1."""
+    return [0.0] + [x * math.log2(x) for x in range(1, n)]
 
-    Every element carries exactly one "resting" rating at its home
-    block plus one rating per processor holding it; re-reading content
-    whose rating already moved elsewhere is a copy and simply adds a
-    memory rating.  Elements held by more than one processor at a
-    sample point mark the trace as carrying copies, which the per-step
-    bound does not cover.
+
+class _Replay:
+    """Potential ratings of a replayed trace, settled once per step.
+
+    Ratings are counts per (container, output block), a container being
+    a block address a >= 0 or processor p as ~p.  Every rated element
+    has one home entry -- a while its rating rests at block a, ~a while
+    it is away -- and one holding processor; further holders, which
+    only copies have, go to a side list.  Within a step the count
+    changes gather in ``net``; ``settle`` turns them into the step's
+    phi increase.
     """
 
-    def __init__(self, P: int, output_block_of):
+    def __init__(self, output_block_of, table_size: int):
         self.out_of = output_block_of
-        self.mem: list[dict[int, int]] = [dict() for _ in range(P)]
-        self.blk: dict[int, dict[int, int]] = {}
-        self.holders: dict[Element, list[int]] = {}
-        self.home: dict[Element, int | None] = {}
-        self.at_home: dict[Element, bool] = {}
-        self.phi = 0.0
-        self.multi_held = 0
+        self.home: dict[Element, int] = {}
+        self.holder: dict[Element, int] = {}
+        self.extra: dict[Element, list[int]] = {}
+        self.counts: dict[int, dict[int, int]] = {}
+        self.net: dict[int, dict[int, int]] = {}
+        self.f = _xlog2x(table_size)
 
-    def _bump(self, counter: dict[int, int], o: int, delta: int) -> None:
-        old = counter.get(o, 0)
-        new = old + delta
-        self.phi += _f(new) - _f(old)
-        if new:
-            counter[o] = new
-        else:
-            counter.pop(o, None)
+    def _net(self, container: int) -> dict[int, int]:
+        d = self.net.get(container)
+        if d is None:
+            d = self.net[container] = {}
+        return d
 
-    def place_initial(self, addr: int, elems: Iterable[Element]) -> None:
+    def place(self, addr: int, elems: Iterable[Element]) -> int:
+        out_of, home = self.out_of, self.home
+        net = self._net(addr)
+        placed = 0
         for e in elems:
-            o = self.out_of(e)
-            self.home[e] = addr
+            o = out_of(e)
             if o is not None:
-                self.at_home[e] = True
-                self._bump(self.blk.setdefault(addr, {}), o, +1)
+                home[e] = addr
+                net[o] = net.get(o, 0) + 1
+                placed += 1
+        return placed
 
     def read(self, p: int, addr: int, elems: Iterable[Element]) -> None:
+        out_of, home, holder, extra = self.out_of, self.home, self.holder, self.extra
+        mem = self._net(~p)
+        blk = None
         for e in elems:
-            o = self.out_of(e)
+            o = out_of(e)
             if o is None:
                 continue
-            hs = self.holders.setdefault(e, [])
-            if p in hs:
+            h = holder.get(e)
+            if h is None:
+                holder[e] = p
+            elif h == p:
                 continue
-            if self.at_home.get(e) and self.home.get(e) == addr:
-                self.at_home[e] = False
-                self._bump(self.blk.setdefault(addr, {}), o, -1)
-            if len(hs) == 1:
-                self.multi_held += 1
-            hs.append(p)
-            self._bump(self.mem[p], o, +1)
+            else:
+                more = extra.get(e)
+                if more is None:
+                    extra[e] = [p]
+                elif p in more:
+                    continue
+                else:
+                    more.append(p)
+            if home.get(e) == addr:
+                # the rating leaves its home; re-reading an element whose
+                # rating is elsewhere is a copy and only adds memory
+                home[e] = ~addr
+                if blk is None:
+                    blk = self._net(addr)
+                blk[o] = blk.get(o, 0) - 1
+            mem[o] = mem.get(o, 0) + 1
 
-    def write(self, p: int, addr: int, elems: tuple, old: tuple) -> None:
-        new_set = set(elems)
-        for e in old:
-            if e in new_set:
-                continue
-            if self.home.get(e) == addr:
-                o = self.out_of(e)
-                if o is not None and self.at_home.get(e):
-                    self.at_home[e] = False
-                    self._bump(self.blk.setdefault(addr, {}), o, -1)
-                self.home[e] = None
+    def write(self, addr: int, elems: tuple, old: tuple) -> None:
+        out_of, home = self.out_of, self.home
+        away = ~addr
+        if old:
+            fresh = set(elems)
+            for e in old:
+                if e in fresh:
+                    continue
+                hm = home.get(e)
+                if hm == addr:
+                    del home[e]
+                    o = out_of(e)
+                    blk = self._net(addr)
+                    blk[o] = blk.get(o, 0) - 1
+                elif hm == away:
+                    del home[e]
         for e in elems:
-            o = self.out_of(e)
-            if o is not None and self.at_home.get(e):
+            hm = home.get(e)
+            if hm is None:
+                if out_of(e) is not None:
+                    home[e] = away
+            elif hm < 0:
+                home[e] = away
+            elif hm != addr:
                 # a stale resting rating moves along with the rewrite
-                prev = self.home.get(e)
-                if prev is not None and prev != addr:
-                    self.at_home[e] = False
-                    self._bump(self.blk.setdefault(prev, {}), o, -1)
-            self.home[e] = addr
+                o = out_of(e)
+                blk = self._net(hm)
+                blk[o] = blk.get(o, 0) - 1
+                home[e] = away
 
     def drop(self, p: int, elems: Iterable[Element]) -> None:
+        out_of, home, holder, extra = self.out_of, self.home, self.holder, self.extra
+        mem = self._net(~p)
+        rest_at = blk = None
         for e in elems:
-            o = self.out_of(e)
+            o = out_of(e)
             if o is None:
                 continue
-            hs = self.holders.get(e)
-            if not hs or p not in hs:
+            h = holder.get(e)
+            if h is None:
                 continue
-            hs.remove(p)
-            if len(hs) == 1:
-                self.multi_held -= 1
-            self._bump(self.mem[p], o, -1)
-            if not hs and not self.at_home.get(e):
-                home = self.home.get(e)
-                if home is not None:
-                    self.at_home[e] = True
-                    self._bump(self.blk.setdefault(home, {}), o, +1)
+            more = extra.get(e)
+            if h == p:
+                if more is None:
+                    del holder[e]
+                else:
+                    holder[e] = more.pop()
+                    if not more:
+                        del extra[e]
+            elif more is not None and p in more:
+                more.remove(p)
+                if not more:
+                    del extra[e]
+            else:
+                continue
+            mem[o] = mem.get(o, 0) - 1
+            if more is None:
+                # the last holder let go: the rating rests at home again
+                hm = home.get(e)
+                if hm is not None and hm < 0:
+                    home[e] = ~hm
+                    if hm != rest_at:
+                        rest_at, blk = hm, self._net(~hm)
+                    blk[o] = blk.get(o, 0) + 1
+
+    def free(self, bucket: Iterable[tuple], skip: dict[int, set]) -> None:
+        """Drops and computes, minus the drops ``skip`` pairs with reads."""
+        for rec in bucket:
+            p, gone = rec[1], rec[2]
+            cancelled = skip.get(p)
+            if not cancelled:
+                self.drop(p, gone)
+            elif not cancelled.issuperset(gone):
+                self.drop(p, filterfalse(cancelled.__contains__, gone))
+            if rec[0] == "C" and rec[3]:
+                # produced elements have no home yet; they enter rated
+                # memory only if they map to an output block
+                mem = self._net(~p)
+                for e in rec[3]:
+                    o = self.out_of(e)
+                    if o is not None:
+                        self.holder[e] = p
+                        mem[o] = mem.get(o, 0) + 1
+
+    def cancelled_reads(self, reads: dict[int, int], bucket: Iterable[tuple],
+                        ext: dict[int, tuple]) -> dict[int, set]:
+        """Per reader of a step, the elements whose read its next drop undoes.
+
+        The conditions are those in ``check_potential_deltas``.  Must run
+        before the step's reads are applied: "held before the step" reads
+        the holders as they are now.
+        """
+        dropped: dict[int, set] = {}
+        for rec in bucket:
+            p = rec[1]
+            if p in reads:
+                if p in dropped:
+                    dropped[p].update(rec[2])
+                else:
+                    dropped[p] = set(rec[2])
+        holder = self.holder
+        shared = None
+        skip: dict[int, set] = {}
+        for p, gone in dropped.items():
+            cand = gone.intersection(ext.get(reads[p], ()))
+            if not cand:
+                continue
+            if not holder.keys().isdisjoint(cand):
+                cand = {e for e in cand if e not in holder}
+            if shared is None:
+                shared = set()
+                seen: set = set()
+                for a in set(reads.values()):
+                    block = ext.get(a, ())
+                    shared.update(seen.intersection(block))
+                    seen.update(block)
+            if shared:
+                cand -= shared
+            if cand:
+                skip[p] = cand
+        return skip
+
+    def settle(self) -> float:
+        """Apply the step's count changes; returns the change of phi."""
+        f, counts = self.f, self.counts
+        delta = 0.0
+        for c, net in self.net.items():
+            cnt = counts.get(c)
+            if cnt is None:
+                cnt = counts[c] = {}
+            for o, n in net.items():
+                if not n:
+                    continue
+                old = cnt.get(o, 0)
+                new = old + n
+                try:
+                    delta += f[new] - f[old]
+                except IndexError:
+                    f.extend(_xlog2x(new + 1)[len(f):])
+                    delta += f[new] - f[old]
+                if new:
+                    cnt[o] = new
+                else:
+                    del cnt[o]
+        self.net.clear()
+        return delta
 
 
 def check_potential_deltas(trace: IOTrace,
@@ -441,66 +570,63 @@ def check_potential_deltas(trace: IOTrace,
     """Replay a trace and bound every parallel step's potential increase.
 
     The per-step bound is P*B*log2(2e) + P*B*log2(min(M, H/P)/B) with H
-    the number of tracked elements.  Traces in which an element ends up
-    held by two processors at a step boundary carry copies; the bound
-    does not apply to them and the report says so.
+    the number of tracked elements.  Phi is sampled at step boundaries,
+    where the lemma reads it: after the step's inputs, its outputs and
+    the free operations up to the next step.  Free operations before the
+    first step fold into the first delta, so the deltas telescope to
+    phi_final - phi_initial.
+
+    A read that processor p undoes by dropping the element before the
+    next step is skipped together with that drop: the pair cannot move
+    phi between two boundaries.  The skip does not apply when anyone (p
+    included) held the element before the step, or when another
+    processor reads it from a different block in that step.  A write of
+    the element's home block in the same step needs no exception: it
+    takes the element's resting rating away with or without the read.
+
+    Traces in which an element ends up held by two processors at a step
+    boundary carry copies; the bound does not apply to them and the
+    report says so.
     """
-    tracker = _PhiTracker(P, output_block_of)
+    replay = _Replay(output_block_of, max(M, B) + 1)
     ext: dict[int, tuple] = {}
-    tracked = 0
+    H = 0
     for addr, elems in initial_image.items():
         ext[addr] = tuple(elems)
-        tracker.place_initial(addr, elems)
-        tracked += sum(1 for e in elems if output_block_of(e) is not None)
-    H = tracked
+        H += replay.place(addr, ext[addr])
     bound = P * B * math.log2(2 * math.e) + P * B * math.log2(min(M, max(H / P, B)) / B)
-    phi0 = tracker.phi
-
-    def apply_free(bucket: list[tuple]) -> None:
-        for rec in bucket:
-            if rec[0] == "D":
-                _, p, elems = rec
-                tracker.drop(p, elems)
-            else:
-                _, p, consumed, produced = rec
-                tracker.drop(p, consumed)
-                # produced elements have no home yet; they enter rated
-                # memory only if they map to an output block
-                for e in produced:
-                    o = output_block_of(e)
-                    if o is not None:
-                        tracker.holders.setdefault(e, []).append(p)
-                        tracker._bump(tracker.mem[p], o, +1)
+    phi0 = replay.settle()
 
     deltas: list[float] = []
     violations: list[int] = []
     copies = False
-    apply_free(trace.free_ops.get(0, ()))
-    # pre-step free ops fold into the first delta so the sum telescopes
-    # exactly to phi_final - phi_initial
-    phi_prev = phi0
+    replay.free(trace.free_ops.get(0, ()), {})
+    phi = phi0
     for t, records in enumerate(trace.steps):
-        for p, rec in enumerate(records):
-            if rec is None:
-                continue
-            if rec[0] == "I":
-                tracker.read(p, rec[1], ext.get(rec[1], ()))
-        for p, rec in enumerate(records):
-            if rec is None or rec[0] != "O":
-                continue
-            addr, elems = rec[1], rec[2]
-            tracker.write(p, addr, elems, ext.get(addr, ()))
-            ext[addr] = elems
-        apply_free(trace.free_ops.get(t + 1, ()))
-        if tracker.multi_held:
+        reads = {p: rec[1] for p, rec in enumerate(records)
+                 if rec is not None and rec[0] == "I"}
+        bucket = trace.free_ops.get(t + 1, ())
+        skip = replay.cancelled_reads(reads, bucket, ext) if reads and bucket else {}
+        for p, addr in reads.items():
+            block = ext.get(addr, ())
+            cancelled = skip.get(p)
+            replay.read(p, addr, filterfalse(cancelled.__contains__, block)
+                        if cancelled else block)
+        for rec in records:
+            if rec is not None and rec[0] == "O":
+                addr, elems = rec[1], rec[2]
+                replay.write(addr, elems, ext.get(addr, ()))
+                ext[addr] = elems
+        replay.free(bucket, skip)
+        if replay.extra:
             copies = True
-        delta = tracker.phi - phi_prev
+        delta = replay.settle()
         deltas.append(delta)
-        phi_prev = tracker.phi
+        phi += delta
         if delta > bound + 1e-9:
             violations.append(t)
-    report = PotentialReport(deltas, bound, phi0, tracker.phi,
-                             applicable=not copies,
-                             reason="trace copies elements" if copies else "",
-                             violations=violations)
-    return report
+    phi += replay.settle()      # free operations of a trace with no step
+    return PotentialReport(deltas, bound, phi0, phi,
+                           applicable=not copies,
+                           reason="trace copies elements" if copies else "",
+                           violations=violations)

@@ -254,17 +254,25 @@ def _run_shuffle_pipeline(pipe: Pipeline, point: dict[str, int], seed: int,
     return row
 
 
+def _key_payloads(elems) -> list[tuple]:
+    return [(e.key, e.payload) for e in elems]
+
+
 def _run_primitive(pipe: Pipeline, point: dict[str, int], seed: int,
                    policy: str) -> dict:
     P, M, B = point["P"], point["M"], point["B"]
     config = MachineConfig(P=P, M=M, B=B, policy=policy)
     machine = create_machine(config)
     rng = random.Random(seed)
+    base = 0
     if pipe.name == "prim_gather":
         k = min(P, B)
         contributions = {p: [machine.create(p, ("g", p), rng.randrange(100))]
                          for p in range(k)}
-        gather(machine, list(range(P)), contributions)
+        expect = _key_payloads(e for p in range(k) for e in contributions[p])
+        out = machine.alloc(1)
+        gather(machine, list(range(P)), contributions, out_addr=out)
+        ok = sorted(_key_payloads(machine.peek(out))) == sorted(expect)
     elif pipe.name == "prim_scatter":
         src = machine.alloc(1)
         filler = [machine.create(0, ("s", i), i) for i in range(B)]
@@ -272,10 +280,10 @@ def _run_primitive(pipe: Pipeline, point: dict[str, int], seed: int,
         machine.discard(0, filler)
         base = machine.io_count
         got = scatter(machine, src, list(range(P)), tree=True)
+        ok = all(_key_payloads(got.get(p, ())) == _key_payloads(filler)
+                 for p in range(P))
         for p, elems in got.items():
             machine.discard(p, elems)
-        return {"measured_io": machine.io_count - base, "R": None, "d": None,
-                "correct": "pass", "potential": "na"}
     else:
         values = [rng.randrange(10) for _ in range(P)]
         got = prefix_sum(machine, values, lambda a, b: a + b)
@@ -284,11 +292,9 @@ def _run_primitive(pipe: Pipeline, point: dict[str, int], seed: int,
         for x in values:
             acc += x
             expect.append(acc)
-        if got != expect:
-            return {"measured_io": machine.io_count, "R": None, "d": None,
-                    "correct": "fail", "potential": "na"}
-    return {"measured_io": machine.io_count, "R": None, "d": None,
-            "correct": "pass", "potential": "na"}
+        ok = got == expect
+    return {"measured_io": machine.io_count - base, "R": None, "d": None,
+            "correct": "pass" if ok else "fail", "potential": "na"}
 
 
 def run_point(algorithm: str, point: dict[str, int], seed: int,

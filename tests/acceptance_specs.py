@@ -2,13 +2,16 @@
 
 Run ``python3 tests/acceptance_specs.py`` to regenerate the frozen
 calibration constants in tests/data/calibration.json after an
-intentional algorithm change.
+intentional algorithm change, and ``python3 tests/acceptance_specs.py
+--golden`` to refreeze the exact per-row I/O counts in
+tests/data/golden_io.json.  A pure speed-up must leave both untouched.
 """
 
 import json
 import os
+import sys
 
-from pemshuffle.harness import ExperimentSpec, Report, calibrate, run_sweep
+from pemshuffle.harness import GRID_KEYS, ExperimentSpec, Report, calibrate, run_sweep
 
 ALL_PIPELINES = [
     "direct_shuffle", "complete_sort",
@@ -36,6 +39,8 @@ TIGHT_SPEC = ExperimentSpec(
 
 CALIBRATION_PATH = os.path.join(os.path.dirname(__file__), "data",
                                 "calibration.json")
+GOLDEN_IO_PATH = os.path.join(os.path.dirname(__file__), "data",
+                              "golden_io.json")
 
 
 def combined_report() -> Report:
@@ -58,6 +63,32 @@ def frozen_constants() -> dict:
         return json.load(fh)
 
 
+def row_id(row: dict) -> str:
+    """Stable name of one acceptance row: algorithm, seed and grid point."""
+    grid = " ".join(f"{k}={row[k]}" for k in GRID_KEYS)
+    return f"{row['algorithm']} seed={row['seed']} {grid}"
+
+
+def golden_io(rows: list[dict]) -> dict[str, int | None]:
+    return {row_id(r): r["measured_io"] for r in rows}
+
+
+def regenerate_golden() -> dict:
+    golden = golden_io(combined_report().rows)
+    with open(GOLDEN_IO_PATH, "w", encoding="utf-8") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return golden
+
+
+def frozen_golden_io() -> dict:
+    with open(GOLDEN_IO_PATH, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 if __name__ == "__main__":
-    for algo, c in sorted(regenerate().items()):
-        print(f"{algo}: C1={c['C1']} C2={c['C2']}")
+    if sys.argv[1:] == ["--golden"]:
+        print(f"{len(regenerate_golden())} rows frozen in {GOLDEN_IO_PATH}")
+    else:
+        for algo, c in sorted(regenerate().items()):
+            print(f"{algo}: C1={c['C1']} C2={c['C2']}")

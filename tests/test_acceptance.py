@@ -319,6 +319,14 @@ def test_criterion_7_bsp_star_round_trip():
     announce(7, "1-relation blockwise exchange replays in exactly 2l I/Os", ok)
 
 
+def test_golden_io_counts(combined_rows):
+    """Every acceptance row repeats the I/O count frozen in golden_io.json."""
+    golden = specs.frozen_golden_io()
+    got = specs.golden_io(combined_rows)
+    moved = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
+    assert not moved, f"{len(moved)} rows changed measured_io, e.g. {moved[:3]}"
+
+
 def test_criterion_8_determinism(band_report):
     first = band_report.to_csv().encode()
     second = run_sweep(specs.BAND_SPEC).to_csv().encode()

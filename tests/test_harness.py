@@ -49,6 +49,38 @@ class TestSpecParsing:
         assert spec.grid["H"] == [64] and spec.seeds == [1, 2]
 
 
+PRIMITIVE_POINT = {"N_M": 16, "N_R": 16, "H": 128, "v": 1, "w": 1,
+                   "P": 8, "M": 24, "B": 4}
+
+
+class TestPrimitiveVerdicts:
+    @pytest.mark.parametrize("algorithm", ["prim_gather", "prim_scatter",
+                                           "prim_prefix_sum"])
+    def test_working_primitive_passes(self, algorithm):
+        row = harness.run_point(algorithm, PRIMITIVE_POINT, 0)
+        assert row["status"] == "ok" and row["correct"] == "pass"
+        assert row["measured_io"] > 0
+
+    @pytest.mark.parametrize("algorithm,name", [("prim_gather", "gather"),
+                                                ("prim_scatter", "scatter")])
+    def test_undelivered_result_fails(self, monkeypatch, algorithm, name):
+        monkeypatch.setattr(harness, name, lambda *args, **kwargs: {})
+        row = harness.run_point(algorithm, PRIMITIVE_POINT, 0)
+        assert row["status"] == "ok" and row["correct"] == "fail"
+
+    def test_scatter_missing_one_target_fails(self, monkeypatch):
+        real = harness.scatter
+
+        def partial(machine, source, targets, tree=None):
+            got = real(machine, source, targets, tree)
+            got.pop(targets[-1])
+            return got
+
+        monkeypatch.setattr(harness, "scatter", partial)
+        row = harness.run_point("prim_scatter", PRIMITIVE_POINT, 0)
+        assert row["correct"] == "fail"
+
+
 class TestSweep:
     def test_two_points_pass(self):
         spec = parse_spec_text(SMALL_GRID)

@@ -1,0 +1,224 @@
+"""The step-batched potential replay against the per-event reference.
+
+``phi_reference`` keeps the tracker that bumped phi on every read, write
+and drop.  ``cost_model.check_potential_deltas`` samples phi at step
+boundaries only and skips reads that the reader drops again before the
+next step; both must report the same per-step deltas and verdicts.
+"""
+
+import random
+
+import pytest
+
+import phi_reference
+from pemshuffle import algorithms as alg
+from pemshuffle import cost_model as cm
+from pemshuffle.machine import IDLE, Input, MachineConfig, Output, create_machine
+from pemshuffle.workload import COLUMN_MAJOR, MIXED_COLUMN, generate
+
+TOL = 1e-9
+
+
+def assert_same_replay(machine, out_of):
+    cfg = machine.config
+    args = (machine.trace, machine.initial_image, out_of, cfg.P, cfg.M, cfg.B)
+    got = cm.check_potential_deltas(*args)
+    want = phi_reference.check_potential_deltas(*args)
+    assert len(got.deltas) == len(want.deltas)
+    assert all(abs(a - b) <= TOL for a, b in zip(got.deltas, want.deltas))
+    assert (got.applicable, got.reason) == (want.applicable, want.reason)
+    assert got.violations == want.violations
+    assert got.bound == want.bound
+    assert abs(got.phi_initial - want.phi_initial) <= TOL
+    assert abs(got.phi_final - want.phi_final) <= TOL
+    return got
+
+
+# -- the four transposition pipelines -------------------------------------------
+
+
+def run_pipeline(name, N_M, N_R, H, P, M, B):
+    layout = COLUMN_MAJOR if name == "sorted_nonparallel" else MIXED_COLUMN
+    inst = generate(N_M, N_R, H, layout=layout, seed=1)
+    m, region = alg.machine_with_instance(MachineConfig(P=P, M=M, B=B), inst)
+    order = sorted(m.region_elements(region), key=lambda e: e.key)
+    out_of = {e: rank // B for rank, e in enumerate(order)}.get
+    if name == "direct_shuffle":
+        alg.direct_shuffle(m, region, inst)
+    elif name == "complete_sort":
+        alg.complete_sort(m, region, inst)
+    else:
+        prepare = (alg.prepare_sorted_map if name == "sorted_nonparallel"
+                   else alg.prepare_unordered_map)
+        meta = prepare(m, region, inst, alg.nonparallel_run_target(H, N_R, B))
+        alg.finalize_nonparallel_reduce(m, meta)
+    return m, out_of
+
+
+@pytest.mark.parametrize("name", ["direct_shuffle", "complete_sort",
+                                  "unordered_nonparallel", "sorted_nonparallel"])
+@pytest.mark.parametrize("point", [(256, 64, 1024, 4, 64, 8),
+                                   (128, 32, 1024, 8, 24, 4)],
+                         ids=["band", "tight"])
+def test_transposition_pipelines(name, point):
+    rep = assert_same_replay(*run_pipeline(name, *point))
+    assert rep.ok()
+
+
+# -- hand-built P=2 CREW traces ---------------------------------------------------
+
+
+def two_procs(*blocks):
+    """P=2, M=12, B=4 machine with initial blocks 0, 1, ... of (key, o)."""
+    m = create_machine(MachineConfig(P=2, M=12, B=4),
+                       [(a, [(k, None) for k, _ in blk]) for a, blk in enumerate(blocks)])
+    out = {e: o for a, blk in enumerate(blocks)
+           for e, (_, o) in zip(m.peek(a), blk)}
+    return m, out
+
+
+def test_concurrent_read_copies_dropped_before_next_step():
+    m, out = two_procs([("a", 0), ("b", 0), ("c", 1), ("d", 1)], [("e", 1)])
+    r = m.parallel_step([Input(0), Input(0)])
+    m.discard(0, r[0])
+    m.discard(1, r[1])
+    m.parallel_step([Input(1), IDLE])
+    m.parallel_step([Output(2, m.held_sorted(0)), IDLE])
+    m.discard(0, m.held_sorted(0))
+    rep = assert_same_replay(m, out.get)
+    assert rep.applicable and rep.deltas[0] == 0.0
+
+
+@pytest.mark.parametrize("keepers", [(0,), (1,), (0, 1)])
+def test_concurrent_read_copies_surviving_the_step(keepers):
+    m, out = two_procs([("a", 0), ("b", 0), ("c", 1), ("d", 1)])
+    r = m.parallel_step([Input(0), Input(0)])
+    for p in (0, 1):
+        if p not in keepers:
+            m.discard(p, r[p])
+    m.parallel_step([Output(3 + p, r[p]) if p in keepers else IDLE for p in (0, 1)])
+    for p in keepers:
+        m.discard(p, r[p])
+    rep = assert_same_replay(m, out.get)
+    # two processors holding one element at a boundary is a copy
+    assert rep.applicable == (len(keepers) == 1)
+
+
+def test_read_and_drop_while_the_home_block_is_overwritten():
+    m, out = two_procs([("a", 0), ("b", 0), ("c", 1), ("d", 1)], [("e", 2), ("f", 2)])
+    held = m.parallel_step([IDLE, Input(1)])[1]
+    r = m.parallel_step([Input(0), Output(0, held)])
+    m.discard(0, r[0])
+    m.discard(1, held)
+    rep = assert_same_replay(m, out.get)
+    # a..d lose their home; e and f come to rest in block 0
+    assert rep.phi_initial == pytest.approx(6.0)
+    assert rep.deltas == pytest.approx([0.0, -4.0])
+    assert rep.phi_final == pytest.approx(2.0)
+
+
+def test_reread_of_held_elements_then_drop():
+    m, out = two_procs([("a", 0), ("b", 0), ("c", 1)])
+    r = m.parallel_step([Input(0), IDLE])
+    m.parallel_step([Input(0), IDLE])
+    m.discard(0, r[0])
+    # p0 no longer holds anything, so p1's read is no copy
+    r = m.parallel_step([IDLE, Input(0)])
+    m.parallel_step([IDLE, Output(3, r[1])])
+    m.discard(1, r[1])
+    rep = assert_same_replay(m, out.get)
+    assert rep.applicable and rep.deltas == pytest.approx([0.0] * 4)
+
+
+def move_to_block_1(m):
+    """Rewrite block 0 into block 1; block 0 keeps stale copies."""
+    r = m.parallel_step([Input(0), IDLE])
+    m.parallel_step([Output(1, r[0]), IDLE])
+    m.discard(0, r[0])
+
+
+def test_drop_of_a_read_while_another_processor_keeps_a_stale_copy():
+    m, out = two_procs([("a", 0), ("b", 0)])
+    move_to_block_1(m)
+    stale = m.parallel_step([IDLE, Input(0)])[1]
+    r = m.parallel_step([Input(1), IDLE])
+    m.discard(0, r[0])
+    m.parallel_step([IDLE, Output(2, stale)])
+    m.discard(1, stale)
+    rep = assert_same_replay(m, out.get)
+    # p0's read takes the resting rating; p1 still holds a copy, so
+    # p0's drop cannot put it back
+    assert rep.deltas == pytest.approx([0.0, 0.0, 2.0, -2.0, 0.0])
+
+
+def test_one_element_read_from_two_blocks_in_one_step():
+    m, out = two_procs([("a", 0), ("b", 0)])
+    move_to_block_1(m)
+    r = m.parallel_step([Input(1), Input(0)])
+    m.discard(0, r[0])
+    m.parallel_step([IDLE, Output(2, r[1])])
+    m.discard(1, r[1])
+    rep = assert_same_replay(m, out.get)
+    assert rep.deltas == pytest.approx([0.0, 0.0, 0.0, 0.0])
+
+
+def test_compute_produced_elements():
+    m, out = two_procs([("a", 0), ("b", 0), ("c", 1), ("d", 1)])
+    m.parallel_step([Input(0), IDLE])
+    # consume c and d right after reading them; produce one rated and
+    # one unrated element
+    made = m.compute(0, lambda held: held[:2] + [("x", 1), ("y", 2)])
+    out[made[2]] = 3
+    m.parallel_step([Output(4, made), IDLE])
+    m.discard(0, made)
+    rep = assert_same_replay(m, out.get)
+    assert rep.applicable
+
+
+# -- seeded random traces -----------------------------------------------------------
+
+
+def random_trace(seed):
+    """A few dozen random reads, writes, drops and computes on 2-3 processors."""
+    rng = random.Random(seed)
+    P, B = rng.choice([2, 3]), rng.choice([2, 3, 4])
+    M = B * rng.choice([3, 4])
+    nblocks = rng.randint(2, 6)
+    m = create_machine(MachineConfig(P=P, M=M, B=B),
+                       [(a, [((a, i), i) for i in range(rng.randint(1, B))])
+                        for a in range(nblocks)])
+    out = {e: rng.randrange(3) if rng.random() < 0.9 else None
+           for blk in m.initial_image.values() for e in blk}
+    existing, addrs = set(range(nblocks)), range(nblocks + 2)
+    for _ in range(rng.randint(3, 25)):
+        actions, targets = [IDLE] * P, set()
+        for p in range(P):
+            a, r = rng.choice(addrs), rng.random()
+            if r < 0.5 and a in existing:
+                grow = sum(1 for e in m.peek(a) if not m.holds(p, e))
+                if m.held_count(p) + grow <= M:
+                    actions[p] = Input(a)
+            elif r < 0.85 and m.held_count(p) and a not in targets:
+                held = m.held_sorted(p)
+                actions[p] = Output(a, rng.sample(held, rng.randint(1, min(B, len(held)))))
+                targets.add(a)
+        existing |= targets
+        if all(x is IDLE for x in actions):
+            m.discard(0, m.held_sorted(0))
+            actions[0] = Input(0)
+        m.parallel_step(actions)
+        for p in range(P):
+            held, r = m.held_sorted(p), rng.random()
+            if held and r < 0.6:
+                m.discard(p, rng.sample(held, rng.randint(1, len(held))))
+            elif held and r < 0.7:
+                keep = rng.sample(held, rng.randint(0, min(len(held), M - 1)))
+                for e in m.compute(p, lambda _, keep=keep: keep + [("made", None)]):
+                    out.setdefault(e, rng.randrange(3))
+    return m, out
+
+
+def test_random_traces():
+    for seed in range(300):
+        m, out = random_trace(seed)
+        assert_same_replay(m, out.get)
