@@ -12,6 +12,7 @@ sequential oracles require bit-exactly.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -26,6 +27,7 @@ from .machine import (
     Output,
     Region,
     SimulationError,
+    ceil_div,
     create_machine,
     run_lockstep,
 )
@@ -38,10 +40,6 @@ from .workload import (
     ShuffleInstance,
     instance_blocks,
 )
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 def _key(e: Element):
@@ -83,11 +81,11 @@ def merge_degree(H: int, P: int, B: int, M: int) -> int:
 
 
 def nonparallel_run_target(H: int, N_R: int, B: int) -> int:
-    return max(1, _ceil_div(H, N_R * B))
+    return max(1, ceil_div(H, N_R * B))
 
 
 def parallel_run_target(H: int, N_R: int, w: int, B: int) -> int:
-    return max(1, _ceil_div(H, N_R * max(w, B)))
+    return max(1, ceil_div(H, N_R * max(w, B)))
 
 
 def _effective_fanin(config: MachineConfig, d: int | None = None) -> int:
@@ -99,16 +97,10 @@ def _effective_fanin(config: MachineConfig, d: int | None = None) -> int:
 def run_elements(machine: Machine, run: Run) -> list[Element]:
     """God view of a run's elements in order (no I/O charged)."""
     B = machine.config.B
-    if run.count == 0:
-        return []
     out: list[Element] = []
-    first = run.lo // B
-    last = (run.hi - 1) // B
-    for bi in range(first, last + 1):
-        base = bi * B
-        for off, e in enumerate(machine.peek(run.region.addr(bi))):
-            if run.lo <= base + off < run.hi:
-                out.append(e)
+    for bi in range(run.lo // B, ceil_div(run.hi, B)):
+        block = machine.peek(run.region.addr(bi))
+        out.extend(block[max(0, run.lo - bi * B):run.hi - bi * B])
     return out
 
 
@@ -125,6 +117,55 @@ def _require_block_parallelism(H: int, config: MachineConfig) -> None:
             f"H/P >= B required (H={H}, P={config.P}, B={config.B})")
 
 
+def _each_share(machine: Machine, n: int, script: Callable) -> None:
+    """Run ``script(p, lo, hi)`` in lockstep over even shares [lo, hi) of
+    n items; processors whose share is empty stay idle."""
+    P = machine.config.P
+    share = ceil_div(n, P)
+    run_lockstep(machine, [script(p, p * share, min(n, (p + 1) * share))
+                           if p * share < n else None for p in range(P)])
+
+
+def _split_blocks(counts: Sequence[int], P: int, B: int) -> list[list[tuple[int, int, int]]]:
+    """Deal the blocks of regions holding ``counts`` elements over P processors.
+
+    Processor p gets (region index, first block, end block) pieces of one
+    consecutive, block-aligned share of all the blocks, so writes never
+    collide.
+    """
+    nbs = [ceil_div(c, B) for c in counts]
+    share = ceil_div(sum(nbs), P) or 1
+    tasks: list[list[tuple[int, int, int]]] = [[] for _ in range(P)]
+    flat = 0
+    for gi, nb in enumerate(nbs):
+        bi = 0
+        while bi < nb:
+            proc = flat // share
+            take = min((proc + 1) * share - flat, nb - bi)
+            tasks[proc].append((gi, bi, bi + take))
+            bi += take
+            flat += take
+    return tasks
+
+
+def _read_window(machine: Machine, p: int, addr: int, base: int, lo: int,
+                 hi: int, held: set[Element]):
+    """Input the block at ``addr`` and keep its elements at positions [lo, hi).
+
+    ``base`` is the position of the block's offset 0.  The kept elements
+    join ``held`` and are returned; the rest of the block is dropped
+    unless ``held`` already has it: pieces of one column share boundary
+    blocks, and the caller may still own elements of an earlier piece.
+    """
+    block = yield Input(addr)
+    keep = block[max(0, lo - base):max(0, hi - base)]
+    held.update(keep)
+    drop = [e for e in block if e not in held]
+    if drop:
+        machine.discard(p, drop)
+    return keep
+
+
 # -- generic k-way merging ---------------------------------------------------
 
 
@@ -139,7 +180,7 @@ def _merge_task(machine: Machine, p: int, srcs: Sequence[tuple[Region, int, int]
     """
     B = machine.config.B
     k = len(srcs)
-    buffers: list[list[Element]] = [[] for _ in range(k)]
+    buffers: list[Sequence[Element]] = [() for _ in range(k)]
     heads = [0] * k
     cursors = [lo for _, lo, _ in srcs]
     owned: set[Element] = set()
@@ -153,17 +194,11 @@ def _merge_task(machine: Machine, p: int, srcs: Sequence[tuple[Region, int, int]
     def refill(s: int):
         region, _, hi = srcs[s]
         blk_idx = cursors[s] // B
-        block = yield Input(region.addr(blk_idx))
-        base = blk_idx * B
-        keep = [e for off, e in enumerate(block)
-                if cursors[s] <= base + off < hi]
+        keep = yield from _read_window(machine, p, region.addr(blk_idx),
+                                       blk_idx * B, cursors[s], hi, owned)
         buffers[s] = keep
         heads[s] = 0
-        owned.update(keep)
-        cursors[s] = min(hi, base + len(block))
-        drop = [e for e in block if e not in owned]
-        if drop:
-            machine.discard(p, drop)
+        cursors[s] += len(keep)
         if keep:
             heapq.heappush(heap, (keep[0].key, s))
 
@@ -253,19 +288,7 @@ def _merge_groups_parallel(machine: Machine, groups: Sequence[Sequence[Run]],
     out_counts = [len(pr) for pr in profiles]
     regions = [machine.alloc_region(c) for c in out_counts]
 
-    total_blocks = sum(_ceil_div(c, B) for c in out_counts if c)
-    share = _ceil_div(total_blocks, P) if total_blocks else 1
-    tasks_by_proc: list[list[tuple[int, int, int]]] = [[] for _ in range(P)]
-    flat = 0
-    for gi, c in enumerate(out_counts):
-        nb = _ceil_div(c, B)
-        bi = 0
-        while bi < nb:
-            proc = flat // share
-            take = min((proc + 1) * share - flat, nb - bi)
-            tasks_by_proc[proc].append((gi, bi, bi + take))
-            bi += take
-            flat += take
+    tasks_by_proc = _split_blocks(out_counts, P, B)
 
     # Per-group source-consumption snapshots at every needed cut position.
     cut_positions: dict[int, set[int]] = {gi: set() for gi in range(len(groups))}
@@ -323,7 +346,7 @@ def parallel_merge_to_R(machine: Machine, runs: Sequence[Run], R: int,
     fanin = _effective_fanin(machine.config, d)
     rounds = 0
     while len(runs) > R:
-        n_groups = max(R, _ceil_div(len(runs), fanin))
+        n_groups = max(R, ceil_div(len(runs), fanin))
         bounds = [(i * len(runs)) // n_groups for i in range(n_groups + 1)]
         groups = [runs[bounds[i]:bounds[i + 1]] for i in range(n_groups)
                   if bounds[i + 1] > bounds[i]]
@@ -398,20 +421,11 @@ def _sort_to_runs(machine: Machine, region: Region, H: int, R: int,
     R = max(1, R)
     fanin = _effective_fanin(cfg, d)
     target_local = max(1, R // cfg.P)
-    share = _ceil_div(region.blocks, cfg.P)
     sinks: list[list[Run]] = [[] for _ in range(cfg.P)]
-    scripts = []
-    for p in range(cfg.P):
-        lo, hi = p * share, min(region.blocks, (p + 1) * share)
-        scripts.append(_formation_and_local_merge(
-            machine, region, lo, hi, p, target_local, fanin, sinks[p])
-            if lo < hi else None)
-    run_lockstep(machine, scripts)
-    all_runs: list[Run] = [r for sink in sinks for r in sink]
-    if len(all_runs) > R:
-        meta = parallel_merge_to_R(machine, all_runs, R, d, validate=False)
-        return MetaRunSet(R, meta.runs, meta.rounds)
-    return MetaRunSet(R, tuple(all_runs), 0)
+    _each_share(machine, region.blocks, lambda p, lo, hi: _formation_and_local_merge(
+        machine, region, lo, hi, p, target_local, fanin, sinks[p]))
+    all_runs = [r for sink in sinks for r in sink]
+    return parallel_merge_to_R(machine, all_runs, R, d, validate=False)
 
 
 # -- map-dependent preparation -----------------------------------------------
@@ -431,22 +445,25 @@ def prepare_unordered_map(machine: Machine, region: Region,
     return _sort_to_runs(machine, region, instance.H, R, d)
 
 
-def _column_runs(machine: Machine, region: Region) -> list[Run]:
-    elems = machine.region_elements(region)
-    runs: list[Run] = []
+def _key_stretches(elems: Sequence[Element], part: int):
+    """(start, end) of every maximal stretch of elements with equal key[part]."""
     start = 0
     for idx in range(1, len(elems) + 1):
-        if idx == len(elems) or elems[idx].key[1] != elems[start].key[1]:
-            runs.append(Run(region, start, idx))
+        if idx == len(elems) or elems[idx].key[part] != elems[start].key[part]:
+            yield start, idx
             start = idx
-    return runs
+
+
+def _column_runs(machine: Machine, region: Region) -> list[Run]:
+    elems = machine.region_elements(region)
+    return [Run(region, lo, hi) for lo, hi in _key_stretches(elems, 1)]
 
 
 def _estimated_passes(start_runs: int, target: int, fanin: int) -> int:
     passes = 0
     n = start_runs
     while n > target:
-        n = _ceil_div(n, fanin)
+        n = ceil_div(n, fanin)
         passes += 1
     return passes
 
@@ -477,7 +494,7 @@ def prepare_sorted_map(machine: Machine, region: Region,
         return MetaRunSet(R, tuple(columns), 0)
     if H < instance.N_R * cfg.B:
         return _sort_to_runs(machine, region, H, R, d)
-    formation_runs = cfg.P * _ceil_div(_ceil_div(H, cfg.P), cfg.M)
+    formation_runs = cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M)
     if 1 + _estimated_passes(formation_runs, R, fanin) < \
             _estimated_passes(len(columns), R, fanin):
         return _sort_to_runs(machine, region, H, R, d)
@@ -502,15 +519,12 @@ def prepare_sorted_map(machine: Machine, region: Region,
                                          fanin, sinks[p]))
     run_lockstep(machine, scripts)
     all_runs = [r for sink in sinks for r in sink]
-    if len(all_runs) > R:
-        meta = parallel_merge_to_R(machine, all_runs, R, d, validate=False)
-        return MetaRunSet(R, meta.runs, meta.rounds)
-    return MetaRunSet(R, tuple(all_runs), 0)
+    return parallel_merge_to_R(machine, all_runs, R, d, validate=False)
 
 
 def meta_column_capacity(config: MachineConfig, H: int) -> int:
     """m = min(M - B, ceil(H/P)): input elements a processor can pin."""
-    return min(config.M - config.B, _ceil_div(H, config.P))
+    return min(config.M - config.B, ceil_div(H, config.P))
 
 
 def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
@@ -540,16 +554,13 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
              else nonparallel_run_target(task.H, N_R, B))
     R = max(1, R)
     cols_per_mc = max(1, m // task.v)
-    n_mc = _ceil_div(task.N_M, cols_per_mc)
+    n_mc = ceil_div(task.N_M, cols_per_mc)
 
     # Volume discovery: scan input-vector shares, then a prefix sum over
     # the per-processor pair counts.
-    vec_blocks = vec_region.blocks
-    share = _ceil_div(vec_blocks, cfg.P)
     counts = [0] * cfg.P
 
-    def discover(p: int):
-        lo, hi = p * share, min(vec_blocks, (p + 1) * share)
+    def discover(p: int, lo: int, hi: int):
         for bi in range(lo, hi):
             block = yield Input(vec_region.addr(bi))
             for e in block:
@@ -558,8 +569,7 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
                     counts[p] += len(task.emission(j))
             machine.discard(p, block)
 
-    run_lockstep(machine, [discover(p) if p * share < vec_blocks else None
-                           for p in range(cfg.P)])
+    _each_share(machine, vec_region.blocks, discover)
     if cfg.P > 1:
         prefix_sum(machine, counts, lambda a, b: a + b)
 
@@ -577,19 +587,7 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
     mc_regions = [machine.alloc_region(len(pairs)) if pairs else None
                   for pairs in mc_pairs]
 
-    total_blocks = sum(_ceil_div(len(pairs), B) for pairs in mc_pairs if pairs)
-    bshare = _ceil_div(total_blocks, cfg.P) if total_blocks else 1
-    tasks_by_proc: list[list[tuple[int, int, int]]] = [[] for _ in range(cfg.P)]
-    flat = 0
-    for mc, pairs in enumerate(mc_pairs):
-        nb = _ceil_div(len(pairs), B)
-        bi = 0
-        while bi < nb:
-            proc = flat // bshare
-            take = min((proc + 1) * bshare - flat, nb - bi)
-            tasks_by_proc[proc].append((mc, bi, bi + take))
-            bi += take
-            flat += take
+    tasks_by_proc = _split_blocks([len(pairs) for pairs in mc_pairs], cfg.P, B)
 
     def emit_script(p: int):
         for mc, blo, bhi in tasks_by_proc[p]:
@@ -598,15 +596,9 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
             ent_lo = (col_lo - 1) * task.v
             ent_hi = col_hi * task.v
             held: set[Element] = set()
-            for vb in range(ent_lo // B, _ceil_div(ent_hi, B)):
-                block = yield Input(vec_region.addr(vb))
-                base = vb * B
-                for off, e in enumerate(block):
-                    if ent_lo <= base + off < ent_hi:
-                        held.add(e)
-                drop = [e for e in block if e not in held]
-                if drop:
-                    machine.discard(p, drop)
+            for vb in range(ent_lo // B, ceil_div(ent_hi, B)):
+                yield from _read_window(machine, p, vec_region.addr(vb), vb * B,
+                                        ent_lo, ent_hi, held)
             pairs = mc_pairs[mc]
             for bi in range(blo, bhi):
                 chunk = pairs[bi * B: min((bi + 1) * B, len(pairs))]
@@ -620,33 +612,30 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
 
     runs = [Run(mc_regions[mc], 0, len(pairs))
             for mc, pairs in enumerate(mc_pairs) if pairs]
-    if len(runs) > R:
-        # The merge here follows the M/B-way budget, not the general degree.
-        meta = parallel_merge_to_R(machine, runs, R, None, validate=False)
-        return MetaRunSet(R, meta.runs, meta.rounds)
-    return MetaRunSet(R, tuple(runs), 0)
+    # The merge here follows the M/B-way budget, not the general degree.
+    return parallel_merge_to_R(machine, runs, R, None, validate=False)
 
 
 # -- reduce-dependent finalisation -------------------------------------------
 
 
-def _span_blocks(runs: Sequence[Run], offsets: Sequence[int], lo: int, hi: int,
-                 B: int):
+def _span_blocks(runs: Sequence[Run], lo: int, hi: int, B: int):
     """Physical blocks covering global positions [lo, hi) over the runs.
 
-    Yields (run_idx, addr, base, win_lo, win_hi): ``base`` is the global
-    position of the block's offset 0, and [win_lo, win_hi) is the part
-    of the block that lies both inside the run and inside [lo, hi).
+    Global positions number the runs' elements consecutively, run after
+    run.  Yields (run_idx, addr, base, win_lo, win_hi): ``base`` is the
+    global position of the block's offset 0, and [win_lo, win_hi) is the
+    part of the block that lies both inside the run and inside [lo, hi).
     """
+    r_hi = 0
     for ri, run in enumerate(runs):
-        r_lo = offsets[ri]
-        r_hi = r_lo + run.count
+        r_lo, r_hi = r_hi, r_hi + run.count
         s, e = max(lo, r_lo), min(hi, r_hi)
         if s >= e:
             continue
         local_s = run.lo + (s - r_lo)
         local_e = run.lo + (e - r_lo)
-        for bi in range(local_s // B, _ceil_div(local_e, B)):
+        for bi in range(local_s // B, ceil_div(local_e, B)):
             base = r_lo - run.lo + bi * B
             win_lo = max(s, base)
             win_hi = min(e, base + B)
@@ -655,12 +644,9 @@ def _span_blocks(runs: Sequence[Run], offsets: Sequence[int], lo: int, hi: int,
 
 def _copy_run(machine: Machine, run: Run) -> Region:
     out = machine.alloc_region(run.count)
-
-    def script():
-        yield from _merge_task(machine, 0, [(run.region, run.lo, run.hi)],
-                               list(out.addrs()), run.count)
-
-    run_lockstep(machine, [script()] + [None] * (machine.config.P - 1))
+    copy = _merge_task(machine, 0, [(run.region, run.lo, run.hi)],
+                       list(out.addrs()), run.count)
+    run_lockstep(machine, [copy] + [None] * (machine.config.P - 1))
     return out
 
 
@@ -680,11 +666,8 @@ def tile_table(machine: Machine, meta: MetaRunSet) -> list[Tile]:
     pos = 0
     for ri, run in enumerate(meta.runs):
         elems = run_elements(machine, run)
-        start = 0
-        for idx in range(1, len(elems) + 1):
-            if idx == len(elems) or elems[idx].key[0] != elems[start].key[0]:
-                tiles.append(Tile(ri, elems[start].key[0], pos + start, idx - start))
-                start = idx
+        for lo, hi in _key_stretches(elems, 0):
+            tiles.append(Tile(ri, elems[lo].key[0], pos + lo, hi - lo))
         pos += len(elems)
     return tiles
 
@@ -695,7 +678,7 @@ def tile_destinations(tiles: Sequence[Tile], B: int) -> dict[int, int]:
     blk = 0
     for ti in sorted(range(len(tiles)), key=lambda t: (tiles[t].row, tiles[t].run)):
         dest[ti] = blk
-        blk += _ceil_div(tiles[ti].size, B)
+        blk += ceil_div(tiles[ti].size, B)
     return dest
 
 
@@ -718,21 +701,15 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
             return run.region
         return _copy_run(machine, run)
     H = sum(r.count for r in runs)
-    offsets = [0] * len(runs)
-    for ri in range(1, len(runs)):
-        offsets[ri] = offsets[ri - 1] + runs[ri - 1].count
-
     tiles = tile_table(machine, MetaRunSet(meta.R, tuple(runs)))
     T = len(tiles)
     start_of_tile = {t.start: ti for ti, t in enumerate(tiles)}
 
     # Scan phase: write every tile start into S, one block per entry.
     s_table = machine.alloc(T)
-    share = _ceil_div(H, P)
 
-    def scan_script(p: int):
-        lo, hi = p * share, min(H, (p + 1) * share)
-        for ri, addr, base, win_lo, win_hi in _span_blocks(runs, offsets, lo, hi, B):
+    def scan_script(p: int, lo: int, hi: int):
+        for ri, addr, base, win_lo, win_hi in _span_blocks(runs, lo, hi, B):
             block = yield Input(addr)
             for off in range(len(block)):
                 pos = base + off
@@ -743,20 +720,17 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
                     machine.discard(p, (entry,))
             machine.discard(p, block)
 
-    run_lockstep(machine, [scan_script(p) if p * share < H else None
-                           for p in range(P)])
+    _each_share(machine, H, scan_script)
 
     # Size phase: tile sizes from S (entry plus successor), local block
     # tallies in row-major order, then a prefix sum fixes each
     # processor's first destination; phase three writes table D.
     sigma = sorted(range(T), key=lambda ti: (tiles[ti].row, tiles[ti].run))
     d_table = machine.alloc(T)
-    tshare = _ceil_div(T, P)
     local_blocks = [0] * P
     sizes_seen: list[dict[int, int]] = [dict() for _ in range(P)]
 
-    def size_script(p: int):
-        lo, hi = p * tshare, min(T, (p + 1) * tshare)
+    def size_script(p: int, lo: int, hi: int):
         for rank in range(lo, hi):
             ti = sigma[rank]
             entry = (yield Input(s_table + ti))[0]
@@ -769,44 +743,39 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
             else:
                 size = H - start
             sizes_seen[p][ti] = size
-            local_blocks[p] += _ceil_div(size, B)
+            local_blocks[p] += ceil_div(size, B)
 
-    run_lockstep(machine, [size_script(p) if p * tshare < T else None
-                           for p in range(P)])
+    _each_share(machine, T, size_script)
     if P > 1:
         ends = prefix_sum(machine, local_blocks, lambda a, b: a + b)
     else:
         ends = [local_blocks[0]]
     block_starts = [e - c for e, c in zip(ends, local_blocks)]
 
-    def dest_script(p: int):
-        lo, hi = p * tshare, min(T, (p + 1) * tshare)
+    def dest_script(p: int, lo: int, hi: int):
         blk = block_starts[p]
         for rank in range(lo, hi):
             ti = sigma[rank]
             entry = machine.create(p, ("D", ti), blk)
             yield Output(d_table + ti, (entry,))
             machine.discard(p, (entry,))
-            blk += _ceil_div(sizes_seen[p][ti], B)
+            blk += ceil_div(sizes_seen[p][ti], B)
 
-    run_lockstep(machine, [dest_script(p) if p * tshare < T else None
-                           for p in range(P)])
+    _each_share(machine, T, dest_script)
 
     # Write phase: every staging block belongs to exactly one tile, so
     # ownership is conflict-free; a block's elements sit in at most two
     # source blocks of its meta-run.
     dests = tile_destinations(tiles, B)
-    total_out_blocks = sum(_ceil_div(t.size, B) for t in tiles)
+    total_out_blocks = sum(ceil_div(t.size, B) for t in tiles)
     staging = Region(machine.alloc(total_out_blocks), total_out_blocks,
                      total_out_blocks * B)
     out_blocks: list[tuple[int, int]] = []
     for ti in sorted(range(T), key=lambda t: dests[t]):
-        for q in range(_ceil_div(tiles[ti].size, B)):
+        for q in range(ceil_div(tiles[ti].size, B)):
             out_blocks.append((ti, q))
-    oshare = _ceil_div(len(out_blocks), P)
 
-    def write_script(p: int):
-        lo, hi = p * oshare, min(len(out_blocks), (p + 1) * oshare)
+    def write_script(p: int, lo: int, hi: int):
         for ob in range(lo, hi):
             ti, q = out_blocks[ob]
             t = tiles[ti]
@@ -814,21 +783,13 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
             g_hi = min(t.start + t.size, g_lo + B)
             picked: list[Element] = []
             pick_set: set[Element] = set()
-            for ri, addr, base, win_lo, win_hi in _span_blocks(
-                    runs, offsets, g_lo, g_hi, B):
-                block = yield Input(addr)
-                for off, e in enumerate(block):
-                    if win_lo <= base + off < win_hi:
-                        picked.append(e)
-                        pick_set.add(e)
-                drop = [e for e in block if e not in pick_set]
-                if drop:
-                    machine.discard(p, drop)
+            for ri, addr, base, win_lo, win_hi in _span_blocks(runs, g_lo, g_hi, B):
+                picked.extend((yield from _read_window(
+                    machine, p, addr, base, win_lo, win_hi, pick_set)))
             yield Output(staging.addr(dests[ti] + q), picked)
             machine.discard(p, picked)
 
-    run_lockstep(machine, [write_script(p) if p * oshare < len(out_blocks) else None
-                           for p in range(P)])
+    _each_share(machine, len(out_blocks), write_script)
 
     return contract(machine, staging)
 
@@ -850,27 +811,24 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet,
     grid = machine.alloc_region(N_R * w)
     if not runs:
         return _fill_grid(machine, grid, None, identity, N_R, w)
-    offsets = [0] * len(runs)
-    for ri in range(1, len(runs)):
-        offsets[ri] = offsets[ri - 1] + runs[ri - 1].count
+    offsets = [0, *itertools.accumulate(r.count for r in runs)]
 
-    share = _ceil_div(H, P)
+    share = ceil_div(H, P)
     elems_cache = {ri: run_elements(machine, run) for ri, run in enumerate(runs)}
     frag_region: dict[tuple[int, int], Region] = {}
     frag_counts: dict[tuple[int, int], int] = {}
     for p in range(P):
         lo, hi = p * share, min(H, (p + 1) * share)
-        for ri, run in enumerate(runs):
+        for ri in range(len(runs)):
             s = max(lo, offsets[ri])
-            e = min(hi, offsets[ri] + run.count)
+            e = min(hi, offsets[ri + 1])
             if s < e:
                 frag = elems_cache[ri][s - offsets[ri]: e - offsets[ri]]
                 distinct = len({(x.key[0], x.payload.l) for x in frag})
                 frag_region[(p, ri)] = machine.alloc_region(distinct)
                 frag_counts[(p, ri)] = distinct
 
-    def reduce_script(p: int):
-        lo, hi = p * share, min(H, (p + 1) * share)
+    def reduce_script(p: int, lo: int, hi: int):
         state = {"frag": None, "row": None, "blk": 0}
         row_acc: dict[int, object] = {}
         outbuf: list[Element] = []
@@ -896,17 +854,8 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet,
                 outbuf.clear()
             state["blk"] = 0
 
-        for ri, addr, base, win_lo, win_hi in _span_blocks(runs, offsets, lo, hi, B):
-            block = yield Input(addr)
-            kept = []
-            kept_set = set()
-            for off, e in enumerate(block):
-                if win_lo <= base + off < win_hi:
-                    kept.append(e)
-                    kept_set.add(e)
-            drop = [e for e in block if e not in kept_set]
-            if drop:
-                machine.discard(p, drop)
+        for ri, addr, base, win_lo, win_hi in _span_blocks(runs, lo, hi, B):
+            kept = yield from _read_window(machine, p, addr, base, win_lo, win_hi, set())
             for e in kept:
                 if state["frag"] != ri:
                     if state["frag"] is not None:
@@ -924,8 +873,7 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet,
         if state["frag"] is not None:
             yield from close_frag()
 
-    run_lockstep(machine, [reduce_script(p) if p * share < H else None
-                           for p in range(P)])
+    _each_share(machine, H, reduce_script)
 
     # Partial-result segments ordered by (meta-run, position) keep the
     # fold order equal to the original sequence order per key.
@@ -941,18 +889,15 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet,
 def _fill_grid(machine: Machine, grid: Region, final: Run | None,
                identity, N_R: int, w: int) -> Region:
     """Expand combined partials into the dense (row, dest) grid."""
-    cfg = machine.config
-    P, B = cfg.P, cfg.B
+    B = machine.config.B
     total = N_R * w
     present = run_elements(machine, final) if final is not None else []
     pos_of: dict[int, int] = {}
     for idx, e in enumerate(present):
         i, l = e.key
         pos_of[(i - 1) * w + (l - 1)] = idx
-    gshare = _ceil_div(grid.blocks, P)
 
-    def fill_script(p: int):
-        blo, bhi = p * gshare, min(grid.blocks, (p + 1) * gshare)
+    def fill_script(p: int, blo: int, bhi: int):
         for bi in range(blo, bhi):
             ranks = range(bi * B, min(total, (bi + 1) * B))
             need = [g for g in ranks if g in pos_of]
@@ -960,18 +905,12 @@ def _fill_grid(machine: Machine, grid: Region, final: Run | None,
             if need and final is not None:
                 p_lo, p_hi = pos_of[need[0]], pos_of[need[-1]] + 1
                 for fb in range((final.lo + p_lo) // B,
-                                _ceil_div(final.lo + p_hi, B)):
-                    block = yield Input(final.region.addr(fb))
-                    base = fb * B - final.lo
-                    keep = set()
-                    for off, e in enumerate(block):
-                        if p_lo <= base + off < p_hi:
-                            i, l = e.key
-                            held[(i - 1) * w + (l - 1)] = e
-                            keep.add(e)
-                    drop = [e for e in block if e not in keep]
-                    if drop:
-                        machine.discard(p, drop)
+                                ceil_div(final.lo + p_hi, B)):
+                    for e in (yield from _read_window(
+                            machine, p, final.region.addr(fb), fb * B - final.lo,
+                            p_lo, p_hi, set())):
+                        i, l = e.key
+                        held[(i - 1) * w + (l - 1)] = e
             cells: list[Element] = []
             for g in ranks:
                 if g in held:
@@ -981,8 +920,7 @@ def _fill_grid(machine: Machine, grid: Region, final: Run | None,
             yield Output(grid.addr(bi), cells)
             machine.discard(p, cells)
 
-    run_lockstep(machine, [fill_script(p) if p * gshare < grid.blocks else None
-                           for p in range(P)])
+    _each_share(machine, grid.blocks, fill_script)
     return grid
 
 
@@ -1017,10 +955,8 @@ def direct_shuffle(machine: Machine, region: Region, instance: ShuffleInstance,
     for src, rank in enumerate(plan):
         order[rank] = src
     out = machine.alloc_region(H)
-    oshare = _ceil_div(out.blocks, cfg.P)
 
-    def script(p: int):
-        blo, bhi = p * oshare, min(out.blocks, (p + 1) * oshare)
+    def script(p: int, blo: int, bhi: int):
         for bi in range(blo, bhi):
             srcs = order[bi * B: min(H, (bi + 1) * B)]
             by_slot: dict[int, Element] = {}
@@ -1039,8 +975,7 @@ def direct_shuffle(machine: Machine, region: Region, instance: ShuffleInstance,
             yield Output(out.addr(bi), cells)
             machine.discard(p, cells)
 
-    run_lockstep(machine, [script(p) if p * oshare < out.blocks else None
-                           for p in range(cfg.P)])
+    _each_share(machine, out.blocks, script)
     return out
 
 
@@ -1048,13 +983,11 @@ def _sorted_scan(machine: Machine, region: Region) -> bool:
     """Scan the region in parallel and verify global key order."""
     cfg = machine.config
     P = cfg.P
-    share = _ceil_div(region.blocks, P)
     local_ok = [True] * P
     firsts: list = [None] * P
     lasts: list = [None] * P
 
-    def scan(p: int):
-        blo, bhi = p * share, min(region.blocks, (p + 1) * share)
+    def scan(p: int, blo: int, bhi: int):
         prev = None
         for bi in range(blo, bhi):
             block = yield Input(region.addr(bi))
@@ -1067,8 +1000,7 @@ def _sorted_scan(machine: Machine, region: Region) -> bool:
             machine.discard(p, block)
         lasts[p] = prev
 
-    run_lockstep(machine, [scan(p) if p * share < region.blocks else None
-                           for p in range(P)])
+    _each_share(machine, region.blocks, scan)
     ok = all(local_ok)
     active = [p for p in range(P) if firsts[p] is not None]
     if len(active) > 1:
@@ -1110,7 +1042,7 @@ def complete_sort(machine: Machine, region: Region,
     if kind == COLUMN_MAJOR:
         fanin = _effective_fanin(cfg, d)
         columns = _column_runs(machine, region)
-        formation_runs = cfg.P * _ceil_div(_ceil_div(H, cfg.P), cfg.M)
+        formation_runs = cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M)
         if _estimated_passes(len(columns), 1, fanin) <= \
                 1 + _estimated_passes(formation_runs, 1, fanin):
             if len(columns) == 1:

@@ -273,48 +273,28 @@ def scatter_gather_floor(params: Params) -> CostEstimate:
 # -- togetherness potential ---------------------------------------------------
 
 
-def _f(x: int) -> float:
-    return x * math.log2(x) if x > 0 else 0.0
-
-
-def _group_rating(counter: dict[int, int]) -> float:
-    return sum(_f(c) for c in counter.values())
-
-
 def potential(machine: Machine,
               output_block_of: Callable[[Element], int | None]) -> float:
-    """Togetherness potential of the live machine state.
+    """Togetherness potential of the machine's state so far.
 
     Every internal memory and every external block is rated by
     sum f(x_i) over the number x_i of its elements destined for output
-    block i, f(x) = x log2 x.  Elements held by a processor count
-    there; otherwise they count at the block they were last written to.
+    block i, f(x) = x log2 x.  An element's rating rests at the block it
+    was last written to and is lost once that block is overwritten
+    without it; a processor that inputs the element from that block
+    takes the rating into its memory until it drops the element again.
     Elements without an output block (bookkeeping values) are ignored.
+
+    The value is ``phi_final`` of ``check_potential_deltas`` replaying
+    the machine's trace.  An input of a block holding a stale copy of an
+    element, one whose rating rests at a newer block, rates the copy in
+    the reader's memory as well, until the reader drops it.  The
+    pipelines drop such copies with the step that read them, so only a
+    value read between a step and that step's own drops counts them.
     """
-    P = machine.config.P
-    mem_counts: list[dict[int, int]] = [dict() for _ in range(P)]
-    blk_counts: dict[int, dict[int, int]] = {}
-    seen_held: set[Element] = set()
-    for p in range(P):
-        for e in machine.held_sorted(p):
-            o = output_block_of(e)
-            if o is None:
-                continue
-            mem_counts[p][o] = mem_counts[p].get(o, 0) + 1
-            seen_held.add(e)
-    for addr, block in machine.external_image().items():
-        for e in block:
-            if e in seen_held:
-                continue
-            if machine.home_of(e) != addr:
-                continue
-            o = output_block_of(e)
-            if o is None:
-                continue
-            blk_counts.setdefault(addr, {})[o] = blk_counts.setdefault(addr, {}).get(o, 0) + 1
-    total = sum(_group_rating(c) for c in mem_counts)
-    total += sum(_group_rating(c) for c in blk_counts.values())
-    return total
+    cfg = machine.config
+    return check_potential_deltas(machine.trace, machine.initial_image,
+                                  output_block_of, cfg.P, cfg.M, cfg.B).phi_final
 
 
 @dataclass

@@ -11,13 +11,15 @@ so reruns with identical seeds are byte-identical.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from . import algorithms as alg
 from . import cost_model as cm
-from .machine import CREW, IDLE, Element, MachineConfig, Output, SimulationError, create_machine
+from .machine import (CREW, EREW, IDLE, MachineConfig, Output, SimulationError,
+                      ceil_div, create_machine)
 from .primitives import gather, prefix_sum, scatter
 from .workload import (
     COLUMN_MAJOR,
@@ -83,6 +85,9 @@ def parse_spec_text(text: str) -> ExperimentSpec:
         elif key == "out":
             output_path = value
         elif key == "policy":
+            if value not in (CREW, EREW):
+                raise ValueError(f"line {lineno}: unknown policy {value!r}; "
+                                 f"known: {CREW}, {EREW}")
             policy = value
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
@@ -167,17 +172,23 @@ def _skip_reason(point: dict[str, int], pipe: Pipeline) -> str | None:
     if pipe.layout is None:       # map task pipelines
         if v > H / N_M:
             return "v > H/N_M"
-        if v > min(M - B, -(-H // P)):
+        if v > min(M - B, ceil_div(H, P)):
             return "v > meta-column capacity"
     return None
 
 
-def _grid_payloads(machine, region) -> list[list]:
-    cells = machine.region_elements(region)
-    out: dict[tuple[int, int], object] = {}
-    for e in cells:
-        out[e.key] = e.payload
-    return out
+# Map-dependent step per cost-model map type: (machine, region, loaded
+# instance or map task, R) -> output Region or MetaRunSet.  The entries
+# look their function up in ``alg`` at call time, so a wrapper put on a
+# module attribute after import sees the call.
+_MAP_STEP = {
+    cm.DIRECT_SHUFFLE: lambda m, reg, inst, R: alg.direct_shuffle(m, reg, inst),
+    cm.COMPLETE_MERGE: lambda m, reg, inst, R: alg.complete_sort(m, reg, inst),
+    cm.UNORDERED: lambda m, reg, inst, R: alg.prepare_unordered_map(m, reg, inst, R),
+    cm.SORTED: lambda m, reg, inst, R: alg.prepare_sorted_map(m, reg, inst, R),
+    cm.PARALLEL_MAP: lambda m, reg, task, R: alg.prepare_parallel_map(
+        m, reg, task, alg.meta_column_capacity(m.config, task.H), R),
+}
 
 
 def _run_shuffle_pipeline(pipe: Pipeline, point: dict[str, int], seed: int,
@@ -193,48 +204,28 @@ def _run_shuffle_pipeline(pipe: Pipeline, point: dict[str, int], seed: int,
         inst = generate(N_M, N_R, H, v=v, w=w, layout=pipe.layout, seed=seed)
         run_inst = elementary_products(inst, vectors) if pipe.parallel_reduce else inst
         machine, region = alg.machine_with_instance(config, run_inst)
-        out_idx: dict[Element, int] = {}
-        if pipe.transposition:
-            order = sorted(machine.region_elements(region), key=lambda e: e.key)
-            out_idx = {e: r // B for r, e in enumerate(order)}
-        if pipe.name == "direct_shuffle":
-            out = alg.direct_shuffle(machine, region, run_inst)
-        elif pipe.name == "complete_sort":
-            out = alg.complete_sort(machine, region, run_inst)
-        else:
-            if pipe.name.startswith("unordered"):
-                R = (alg.parallel_run_target(H, N_R, w, B) if pipe.parallel_reduce
-                     else alg.nonparallel_run_target(H, N_R, B))
-                meta = alg.prepare_unordered_map(machine, region, run_inst, R)
-            else:
-                R = (alg.parallel_run_target(H, N_R, w, B) if pipe.parallel_reduce
-                     else alg.nonparallel_run_target(H, N_R, B))
-                meta = alg.prepare_sorted_map(machine, region, run_inst, R)
-            row["R"] = meta.R
-            if pipe.parallel_reduce:
-                out = alg.finalize_parallel_reduce(
-                    machine, meta, lambda a, b: a + b, 0, N_R, w)
-            else:
-                out = alg.finalize_nonparallel_reduce(machine, meta)
     else:
         inst = generate(N_M, N_R, H, v=v, w=w, layout=COLUMN_MAJOR, seed=seed)
-        task = make_map_task(inst, vectors if pipe.parallel_reduce else None)
-        machine, vec_region = alg.machine_with_vectors(config, task)
-        m_cap = alg.meta_column_capacity(config, H)
-        meta = alg.prepare_parallel_map(machine, vec_region, task, m_cap,
-                                        N_R=N_R, w=w,
-                                        parallel_reduce=pipe.parallel_reduce)
-        row["R"] = meta.R
-        out_idx = {}
+        run_inst = make_map_task(inst, vectors if pipe.parallel_reduce else None)
+        machine, region = alg.machine_with_vectors(config, run_inst)
+    out_idx = {}
+    if pipe.transposition:
+        order = sorted(machine.region_elements(region), key=lambda e: e.key)
+        out_idx = {e: r // B for r, e in enumerate(order)}
+    R = (alg.parallel_run_target(H, N_R, w, B) if pipe.parallel_reduce
+         else alg.nonparallel_run_target(H, N_R, B))
+    out = _MAP_STEP[pipe.cell[0]](machine, region, run_inst, R)
+    if isinstance(out, alg.MetaRunSet):
+        row["R"] = out.R
         if pipe.parallel_reduce:
             out = alg.finalize_parallel_reduce(
-                machine, meta, lambda a, b: a + b, 0, N_R, w)
+                machine, out, lambda a, b: a + b, 0, N_R, w)
         else:
-            out = alg.finalize_nonparallel_reduce(machine, meta)
+            out = alg.finalize_nonparallel_reduce(machine, out)
 
     # correctness verdict
     if pipe.parallel_reduce:
-        got = _grid_payloads(machine, out)
+        got = {e.key: e.payload for e in machine.region_elements(out)}
         expected = oracle_combined_mxv(inst, vectors)
         ok = all(got.get((i + 1, l + 1), 0) == expected[l][i]
                  for l in range(w) for i in range(N_R))
@@ -287,14 +278,13 @@ def _run_primitive(pipe: Pipeline, point: dict[str, int], seed: int,
     else:
         values = [rng.randrange(10) for _ in range(P)]
         got = prefix_sum(machine, values, lambda a, b: a + b)
-        acc = 0
-        expect = []
-        for x in values:
-            acc += x
-            expect.append(acc)
-        ok = got == expect
+        ok = got == list(itertools.accumulate(values))
     return {"measured_io": machine.io_count - base, "R": None, "d": None,
             "correct": "pass" if ok else "fail", "potential": "na"}
+
+
+def _params(point: dict) -> cm.Params:
+    return cm.Params(**{k: point[k] for k in GRID_KEYS})
 
 
 def run_point(algorithm: str, point: dict[str, int], seed: int,
@@ -304,38 +294,25 @@ def run_point(algorithm: str, point: dict[str, int], seed: int,
     row = {"algorithm": algorithm, "seed": seed, "policy": policy,
            **{k: point[k] for k in GRID_KEYS}}
     reason = _skip_reason(point, pipe)
+    primitive = pipe.cell[0] == "primitive"
     if reason is not None:
-        row.update(status="skipped", reason=reason, measured_io=None,
-                   leading_term=None, log2_p=None, R=None, d=None,
-                   correct="", potential="")
-        for f in FIELDNAMES:
-            row.setdefault(f, None)
-        return row
-    params = cm.Params(N_M=point["N_M"], N_R=point["N_R"], H=point["H"],
-                       v=point["v"], w=point["w"], P=point["P"],
-                       M=point["M"], B=point["B"])
-    try:
-        if pipe.cell[0] == "primitive":
-            result = _run_primitive(pipe, point, seed, policy)
-            leading = 0.0
+        row.update(status="skipped", reason=reason, correct="", potential="")
+    else:
+        try:
+            run = _run_primitive if primitive else _run_shuffle_pipeline
+            result = run(pipe, point, seed, policy)
+        except SimulationError as exc:
+            row.update(status="failed", reason=str(exc), correct="fail",
+                       potential="")
         else:
-            result = _run_shuffle_pipeline(pipe, point, seed, policy)
-            leading = table_leading(params, pipe)
-    except SimulationError as exc:
-        row.update(status="failed", reason=str(exc), measured_io=None,
-                   leading_term=None, log2_p=None, R=None, d=None,
-                   correct="fail", potential="")
-        for f in FIELDNAMES:
-            row.setdefault(f, None)
-        return row
-    row.update(status="ok", reason="", leading_term=leading,
-               log2_p=math.log2(point["P"]) if point["P"] > 1 else 0.0,
-               **result)
-    if pipe.cell[0] != "primitive":
-        _attach_bounds(row, params, pipe)
-    for f in FIELDNAMES:
-        row.setdefault(f, None)
-    return row
+            params = _params(point)
+            row.update(status="ok", reason="",
+                       leading_term=0.0 if primitive else table_leading(params, pipe),
+                       log2_p=math.log2(point["P"]) if point["P"] > 1 else 0.0,
+                       **result)
+            if not primitive:
+                _attach_bounds(row, params, pipe)
+    return {f: row.get(f) for f in FIELDNAMES}
 
 
 def table_leading(params: cm.Params, pipe: Pipeline) -> float:
@@ -343,20 +320,36 @@ def table_leading(params: cm.Params, pipe: Pipeline) -> float:
     return est.value
 
 
+# Lower bounds in catalog order: (formula, sweep column, matching upper
+# cell).  A sweep row's lb_combined column holds the combined bound of
+# its own input layout.  The formulas are looked up in ``cm`` at call
+# time, as in _MAP_STEP.
+_LOWER_BOUNDS = (
+    (lambda p: cm.thm1_lower(p, cm.MIXED), "lb_thm1_mixed",
+     (cm.UNORDERED, cm.PARALLEL)),
+    (lambda p: cm.thm1_lower(p, cm.COLUMN), "lb_thm1_column",
+     (cm.SORTED, cm.PARALLEL)),
+    (lambda p: cm.thm1_lower(p, cm.BEST_CASE), "lb_thm1_best",
+     (cm.PARALLEL_MAP, cm.PARALLEL)),
+    (lambda p: cm.lemma2_lower(p), "lb_lemma2", (cm.PARALLEL_MAP, cm.NONPARALLEL)),
+    (lambda p: cm.transpose_lower(p), "lb_transpose", None),
+    (lambda p: cm.combined_lower(p, cm.MIXED), "lb_combined",
+     (cm.UNORDERED, cm.NONPARALLEL)),
+    (lambda p: cm.combined_lower(p, cm.COLUMN), "lb_combined",
+     (cm.SORTED, cm.NONPARALLEL)),
+    (lambda p: cm.scatter_gather_floor(p), None, None),
+)
+
+
 def _attach_bounds(row: dict, params: cm.Params, pipe: Pipeline) -> None:
-    for layout, col in ((cm.MIXED, "lb_thm1_mixed"), (cm.COLUMN, "lb_thm1_column"),
-                        (cm.BEST_CASE, "lb_thm1_best")):
-        est = cm.thm1_lower(params, layout)
-        row[col] = est.value
-        row[col + "_valid"] = est.valid
-    est = cm.lemma2_lower(params)
-    row["lb_lemma2"] = est.value
-    row["lb_lemma2_valid"] = est.valid
-    row["lb_transpose"] = cm.transpose_lower(params).value
-    layout = cm.COLUMN if pipe.layout == COLUMN_MAJOR else cm.MIXED
-    est = cm.combined_lower(params, layout)
-    row["lb_combined"] = est.value
-    row["lb_combined_valid"] = est.valid
+    own = "combined:" + (cm.COLUMN if pipe.layout == COLUMN_MAJOR else cm.MIXED)
+    for bound, col, _ in _LOWER_BOUNDS:
+        if col is None:
+            continue
+        est = bound(params)
+        if col != "lb_combined" or est.formula_id == own:
+            row[col] = est.value
+            row[col + "_valid"] = est.valid
 
 
 @dataclass
@@ -451,11 +444,6 @@ def write_constants(constants: dict, path: str) -> None:
         fh.write("\n")
 
 
-def load_constants(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # -- verification ---------------------------------------------------------------
 
 
@@ -496,24 +484,13 @@ def check_bounds_consistency(report: Report, K: float = 8.0) -> list[str]:
     for r in report.ok_rows():
         if not r["leading_term"]:
             continue
-        params = cm.Params(N_M=r["N_M"], N_R=r["N_R"], H=r["H"], v=r["v"],
-                           w=r["w"], P=r["P"], M=r["M"], B=r["B"])
+        params = _params(r)
         logp = math.log2(r["P"]) if r["P"] > 1 else 0.0
-        pairs = [
-            (cm.thm1_lower(params, cm.MIXED),
-             cm.table1_upper(params, cm.UNORDERED, cm.PARALLEL)),
-            (cm.thm1_lower(params, cm.COLUMN),
-             cm.table1_upper(params, cm.SORTED, cm.PARALLEL)),
-            (cm.thm1_lower(params, cm.BEST_CASE),
-             cm.table1_upper(params, cm.PARALLEL_MAP, cm.PARALLEL)),
-            (cm.lemma2_lower(params),
-             cm.table1_upper(params, cm.PARALLEL_MAP, cm.NONPARALLEL)),
-            (cm.combined_lower(params, cm.MIXED),
-             cm.table1_upper(params, cm.UNORDERED, cm.NONPARALLEL)),
-            (cm.combined_lower(params, cm.COLUMN),
-             cm.table1_upper(params, cm.SORTED, cm.NONPARALLEL)),
-        ]
-        for lower, upper in pairs:
+        for bound, _, cell in _LOWER_BOUNDS:
+            if cell is None:
+                continue
+            lower = bound(params)
+            upper = cm.table1_upper(params, *cell)
             if not lower.valid:
                 if lower.value is not None:
                     failures.append(f"{lower.formula_id}: invalid but numeric")
@@ -559,28 +536,13 @@ def verify(spec: ExperimentSpec,
 def bounds_catalog(spec: ExperimentSpec) -> str:
     """CSV formula catalog over the grid: formula_id, parameters, value, valid."""
     lines = ["formula_id,N_M,N_R,H,v,w,P,M,B,value,valid"]
+    uppers = [(m, r) for m in (cm.UNORDERED, cm.SORTED, cm.PARALLEL_MAP)
+              for r in (cm.NONPARALLEL, cm.PARALLEL)]
+    uppers += [(cm.DIRECT_SHUFFLE, None), (cm.COMPLETE_MERGE, None)]
     for point in spec.points():
-        params = cm.Params(N_M=point["N_M"], N_R=point["N_R"], H=point["H"],
-                           v=point["v"], w=point["w"], P=point["P"],
-                           M=point["M"], B=point["B"])
-        ests = [
-            cm.table1_upper(params, cm.UNORDERED, cm.NONPARALLEL),
-            cm.table1_upper(params, cm.UNORDERED, cm.PARALLEL),
-            cm.table1_upper(params, cm.SORTED, cm.NONPARALLEL),
-            cm.table1_upper(params, cm.SORTED, cm.PARALLEL),
-            cm.table1_upper(params, cm.PARALLEL_MAP, cm.NONPARALLEL),
-            cm.table1_upper(params, cm.PARALLEL_MAP, cm.PARALLEL),
-            cm.table1_upper(params, cm.DIRECT_SHUFFLE),
-            cm.table1_upper(params, cm.COMPLETE_MERGE),
-            cm.thm1_lower(params, cm.MIXED),
-            cm.thm1_lower(params, cm.COLUMN),
-            cm.thm1_lower(params, cm.BEST_CASE),
-            cm.lemma2_lower(params),
-            cm.transpose_lower(params),
-            cm.combined_lower(params, cm.MIXED),
-            cm.combined_lower(params, cm.COLUMN),
-            cm.scatter_gather_floor(params),
-        ]
+        params = _params(point)
+        ests = ([cm.table1_upper(params, *cell) for cell in uppers]
+                + [bound(params) for bound, _, _ in _LOWER_BOUNDS])
         for est in ests:
             vals = ",".join(str(point[k]) for k in GRID_KEYS)
             lines.append(f"{est.formula_id},{vals},{_fmt(est.value)},{est.valid}")

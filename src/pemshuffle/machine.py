@@ -26,6 +26,11 @@ EREW = "erew"
 INBOX_BASE = 1 << 40
 
 
+def ceil_div(a: int, b: int) -> int:
+    """Integer ceiling of a / b for b > 0."""
+    return -(-a // b)
+
+
 class SimulationError(Exception):
     """A machine rule was violated by the running program."""
 
@@ -122,14 +127,12 @@ class IOTrace:
     executed when they happened, so a trace can be replayed exactly.
     """
 
-    __slots__ = ("P", "steps", "free_ops", "inputs", "outputs")
+    __slots__ = ("P", "steps", "free_ops")
 
     def __init__(self, P: int):
         self.P = P
         self.steps: list[tuple] = []
         self.free_ops: dict[int, list[tuple]] = {}
-        self.inputs = [0] * P
-        self.outputs = [0] * P
 
     @property
     def parallel_io_count(self) -> int:
@@ -137,9 +140,6 @@ class IOTrace:
 
     def record_free(self, record: tuple) -> None:
         self.free_ops.setdefault(len(self.steps), []).append(record)
-
-    def per_processor_counts(self) -> list[tuple[int, int]]:
-        return list(zip(self.inputs, self.outputs))
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,10 @@ class Region:
 class Machine:
     """One PEM instance: external memory image, internal memories, trace.
 
-    A machine is confined to a single thread; independent machines may
+    The machine keeps no potential bookkeeping of its own.  Where an
+    element's rating rests is read off ``initial_image`` and ``trace``
+    by the replay in ``cost_model``, so the trace is the one record of a
+    run.  A machine is confined to a single thread; independent machines may
     run concurrently.
     """
 
@@ -174,10 +177,6 @@ class Machine:
         self._uid = 0
         self._ext: dict[int, tuple[Element, ...]] = {}
         self._mem: list[set[Element]] = [set() for _ in range(config.P)]
-        # Most recent block an element was written to (None once the
-        # block got overwritten without it); feeds the togetherness
-        # potential diagnostics.
-        self._home: dict[Element, int | None] = {}
         self._next_addr = 0
         for addr, elems in initial_contents:
             if addr in self._ext:
@@ -189,8 +188,6 @@ class Machine:
                 raise ConfigurationError(
                     f"initial block {addr} holds {len(block)} > B={config.B} elements")
             self._ext[addr] = block
-            for e in block:
-                self._home[e] = addr
             self._next_addr = max(self._next_addr, addr + 1)
         self.inboxes = [INBOX_BASE + p for p in range(config.P)]
         for a in self.inboxes:
@@ -224,7 +221,7 @@ class Machine:
 
     def alloc_region(self, count: int) -> Region:
         B = self.config.B
-        nblocks = max(1, -(-count // B))
+        nblocks = max(1, ceil_div(count, B))
         return Region(self.alloc(nblocks), nblocks, count)
 
     # -- the one charged operation ---------------------------------------
@@ -290,20 +287,10 @@ class Machine:
                 self._mem[p].update(block)
                 results[p] = block
                 records[p] = ("I", a.addr, len(block))
-                self.trace.inputs[p] += 1
         for p, a in enumerate(acts):
             if isinstance(a, Output):
-                old = self._ext.get(a.addr, ())
-                if old:
-                    fresh = set(a.elements)
-                    for e in old:
-                        if e not in fresh and self._home.get(e) == a.addr:
-                            self._home[e] = None
                 self._ext[a.addr] = a.elements
-                for e in a.elements:
-                    self._home[e] = a.addr
                 records[p] = ("O", a.addr, a.elements)
-                self.trace.outputs[p] += 1
         self.trace.steps.append(tuple(records))
         return results
 
@@ -382,9 +369,6 @@ class Machine:
 
     def held_sorted(self, p: int) -> list[Element]:
         return sorted(self._mem[p], key=lambda e: e.uid)
-
-    def home_of(self, e: Element) -> int | None:
-        return self._home.get(e)
 
     def region_elements(self, region: Region) -> list[Element]:
         out: list[Element] = []

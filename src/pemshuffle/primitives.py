@@ -22,12 +22,9 @@ from .machine import (
     Output,
     Region,
     SimulationError,
+    ceil_div,
     run_lockstep,
 )
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 # -- gather / scatter -------------------------------------------------------
@@ -202,13 +199,6 @@ class Span:
     def end(self) -> int:
         return self.start + self.count
 
-    def block_range(self, region_start: int, B: int) -> tuple[int, int]:
-        if self.count == 0:
-            return (0, 0)
-        first = region_start + self.start // B
-        last = region_start + (self.end - 1) // B
-        return (first, last - first + 1)
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -253,11 +243,11 @@ def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
     if P == 1:
         return Assignment((Span(0, 0, n, keys[0], keys[-1]),), n, m)
 
-    volume_procs = _ceil_div(P, 2)
-    piece = _ceil_div(n, volume_procs)
-    width = _ceil_div(2 * m, P)
+    volume_procs = ceil_div(P, 2)
+    piece = ceil_div(n, volume_procs)
+    width = ceil_div(2 * m, P)
 
-    scratch = [machine.alloc(_ceil_div(_ceil_div(m, width) + 1, B))
+    scratch = [machine.alloc(ceil_div(ceil_div(m, width) + 1, B))
                for _ in range(volume_procs)]
     boundary_lists: list[list[tuple[int, int]]] = [[] for _ in range(volume_procs)]
 
@@ -354,7 +344,7 @@ def contract(machine: Machine, region: Region) -> Region:
     P = machine.config.P
     B = machine.config.B
     mblocks = region.blocks
-    piece = _ceil_div(mblocks, P) if mblocks else 1
+    piece = ceil_div(mblocks, P) if mblocks else 1
 
     counts = [0] * P
 
@@ -379,7 +369,7 @@ def contract(machine: Machine, region: Region) -> Region:
     if total == 0:
         return Region(out.start, 0, 0)
 
-    nblocks_out = _ceil_div(total, B)
+    nblocks_out = ceil_div(total, B)
     owner_of = {}
     for b in range(nblocks_out):
         pos = b * B

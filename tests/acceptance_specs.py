@@ -4,14 +4,25 @@ Run ``python3 tests/acceptance_specs.py`` to regenerate the frozen
 calibration constants in tests/data/calibration.json after an
 intentional algorithm change, and ``python3 tests/acceptance_specs.py
 --golden`` to refreeze the exact per-row I/O counts in
-tests/data/golden_io.json.  A pure speed-up must leave both untouched.
+tests/data/golden_io.json, the whole BAND+TIGHT sweep CSV in
+tests/data/golden_sweep.csv and the bound catalog of grids/small.cfg in
+tests/data/golden_bounds.csv.  A pure speed-up or refactor must leave
+all of them untouched.
 """
 
 import json
 import os
 import sys
 
-from pemshuffle.harness import GRID_KEYS, ExperimentSpec, Report, calibrate, run_sweep
+from pemshuffle.harness import (
+    GRID_KEYS,
+    ExperimentSpec,
+    Report,
+    bounds_catalog,
+    calibrate,
+    load_spec,
+    run_sweep,
+)
 
 ALL_PIPELINES = [
     "direct_shuffle", "complete_sort",
@@ -41,6 +52,12 @@ CALIBRATION_PATH = os.path.join(os.path.dirname(__file__), "data",
                                 "calibration.json")
 GOLDEN_IO_PATH = os.path.join(os.path.dirname(__file__), "data",
                               "golden_io.json")
+GOLDEN_SWEEP_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                 "golden_sweep.csv")
+GOLDEN_BOUNDS_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                  "golden_bounds.csv")
+SMALL_GRID_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
+                               "grids", "small.cfg")
 
 
 def combined_report() -> Report:
@@ -73,17 +90,31 @@ def golden_io(rows: list[dict]) -> dict[str, int | None]:
     return {row_id(r): r["measured_io"] for r in rows}
 
 
+def small_bounds_catalog() -> str:
+    return bounds_catalog(load_spec(SMALL_GRID_PATH))
+
+
 def regenerate_golden() -> dict:
-    golden = golden_io(combined_report().rows)
+    report = combined_report()
+    golden = golden_io(report.rows)
     with open(GOLDEN_IO_PATH, "w", encoding="utf-8") as fh:
         json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    for path, text in ((GOLDEN_SWEEP_PATH, report.to_csv()),
+                       (GOLDEN_BOUNDS_PATH, small_bounds_catalog())):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     return golden
 
 
 def frozen_golden_io() -> dict:
     with open(GOLDEN_IO_PATH, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def frozen_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.read()
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from pemshuffle.algorithms import (
     prepare_sorted_map,
     prepare_unordered_map,
 )
-from pemshuffle.harness import _log_term, run_sweep
+from pemshuffle.harness import Report, _log_term, run_sweep
 from pemshuffle.machine import (
     EREW,
     Input,
@@ -325,6 +325,14 @@ def test_golden_io_counts(combined_rows):
     got = specs.golden_io(combined_rows)
     moved = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
     assert not moved, f"{len(moved)} rows changed measured_io, e.g. {moved[:3]}"
+
+
+def test_golden_report(combined_rows):
+    """The BAND+TIGHT sweep CSV and the small-grid bound catalog repeat
+    golden_sweep.csv and golden_bounds.csv byte for byte."""
+    from pemshuffle.harness import Report
+    assert Report(combined_rows).to_csv() == specs.frozen_text(specs.GOLDEN_SWEEP_PATH)
+    assert specs.small_bounds_catalog() == specs.frozen_text(specs.GOLDEN_BOUNDS_PATH)
 
 
 def test_criterion_8_determinism(band_report):

@@ -258,6 +258,47 @@ class TestPotential:
         mapping2 = {e: r // cfg.B for r, e in enumerate(order2)}
         assert cm.potential(m2, block_of(mapping2)) == pytest.approx(phi1)
 
+    def test_co_destined_elements_held_at_a_step_boundary(self):
+        f = lambda x: x * math.log2(x)
+        m = create_machine(MachineConfig(P=1, M=12, B=4),
+                           [(0, [(i, i) for i in range(4)]),
+                            (1, [(10 + i, i) for i in range(4)])])
+        a, b = m.peek(0), m.peek(1)
+        mapping = dict(zip(a + b, [0, 0, 0, 1, 1, 1, 2, 2]))
+        phi = lambda: cm.potential(m, block_of(mapping))
+        assert phi() == pytest.approx(f(3) + 2 * f(2))
+        m.parallel_step([Input(0)])
+        assert phi() == pytest.approx(f(3) + 2 * f(2))
+        m.parallel_step([Input(1)])
+        # one memory holds 3 + 3 + 2 elements of output blocks 0, 1, 2
+        assert phi() == pytest.approx(2 * f(3) + f(2))
+        m.discard(0, b[:1])
+        # the dropped element rests alone at block 1 again
+        assert phi() == pytest.approx(f(3) + 2 * f(2))
+
+    def test_block_overwritten_without_its_resting_elements(self):
+        f = lambda x: x * math.log2(x)
+        m = create_machine(MachineConfig(P=1, M=12, B=4),
+                           [(0, [(i, i) for i in range(4)]),
+                            (1, [(10 + i, i) for i in range(2)])])
+        a, b = m.peek(0), m.peek(1)
+        mapping = dict(zip(a + b, [0, 0, 0, 0, 1, 1]))
+        phi = lambda: cm.potential(m, block_of(mapping))
+        assert phi() == pytest.approx(f(4) + f(2))
+        m.parallel_step([Input(1)])
+        m.parallel_step([Output(0, b)])
+        # block 0 lost the four elements resting there; b still counts
+        # in memory
+        assert phi() == pytest.approx(f(2))
+        m.discard(0, b)
+        assert phi() == pytest.approx(f(2))
+        # block 1 still holds b, but b's ratings rest at block 0: until
+        # the drop, the copies read back count in memory as well
+        m.parallel_step([Input(1)])
+        assert phi() == pytest.approx(2 * f(2))
+        m.discard(0, b)
+        assert phi() == pytest.approx(f(2))
+
 
 class TestPotentialDeltas:
     def test_output_only_step_never_increases(self):

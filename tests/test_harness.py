@@ -48,6 +48,12 @@ class TestSpecParsing:
         spec = parse_spec_text("\n# hi\nH = [64]\nseeds = [1, 2]\n")
         assert spec.grid["H"] == [64] and spec.seeds == [1, 2]
 
+    def test_policy(self):
+        assert parse_spec_text("policy = erew\n").policy == "erew"
+        # the grid file names the policy exactly as the CLI flag does
+        with pytest.raises(ValueError, match="line 2: unknown policy 'EREW'"):
+            parse_spec_text("H = [64]\npolicy = EREW\n")
+
 
 PRIMITIVE_POINT = {"N_M": 16, "N_R": 16, "H": 128, "v": 1, "w": 1,
                    "P": 8, "M": 24, "B": 4}
