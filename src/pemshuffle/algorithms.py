@@ -418,7 +418,6 @@ def _sort_to_runs(machine: Machine, region: Region, H: int, R: int,
     """Form presorted runs locally, then merge in parallel down to R."""
     cfg = machine.config
     _require_block_parallelism(H, cfg)
-    R = max(1, R)
     fanin = _effective_fanin(cfg, d)
     target_local = max(1, R // cfg.P)
     sinks: list[list[Run]] = [[] for _ in range(cfg.P)]
@@ -432,15 +431,12 @@ def _sort_to_runs(machine: Machine, region: Region, H: int, R: int,
 
 
 def prepare_unordered_map(machine: Machine, region: Region,
-                          instance: ShuffleInstance,
-                          R: int | None = None) -> MetaRunSet:
+                          instance: ShuffleInstance, R: int) -> MetaRunSet:
     """Meta-runs from a mixed column layout via parallel merge sort."""
     if instance.layout_kind() != MIXED_COLUMN:
         raise SimulationError(
             f"unordered-map preparation needs mixed column layout, got {instance.layout}")
     cfg = machine.config
-    if R is None:
-        R = nonparallel_run_target(instance.H, instance.N_R, cfg.B)
     d = merge_degree(instance.H, cfg.P, cfg.B, cfg.M)
     return _sort_to_runs(machine, region, instance.H, R, d)
 
@@ -469,13 +465,13 @@ def _estimated_passes(start_runs: int, target: int, fanin: int) -> int:
 
 
 def prepare_sorted_map(machine: Machine, region: Region,
-                       instance: ShuffleInstance,
-                       R: int | None = None) -> MetaRunSet:
+                       instance: ShuffleInstance, R: int) -> MetaRunSet:
     """Meta-runs from a column major layout: columns are presorted runs.
 
     Thin rows (H/N_R < B) fall back to the unordered-map algorithm, as
-    do instances whose columns are so short that sorting from scratch
-    is estimated cheaper than merging them.
+    do instances with more columns than pairs, which load balancing
+    cannot split, and instances whose columns are so short that sorting
+    from scratch is estimated cheaper than merging them.
     """
     if instance.layout_kind() != COLUMN_MAJOR:
         raise SimulationError(
@@ -483,8 +479,6 @@ def prepare_sorted_map(machine: Machine, region: Region,
     cfg = machine.config
     H = instance.H
     _require_block_parallelism(H, cfg)
-    if R is None:
-        R = nonparallel_run_target(H, instance.N_R, cfg.B)
     R = max(1, R)
     d = merge_degree(H, cfg.P, cfg.B, cfg.M)
     fanin = _effective_fanin(cfg, d)
@@ -492,7 +486,7 @@ def prepare_sorted_map(machine: Machine, region: Region,
     columns = _column_runs(machine, region)
     if len(columns) <= R:
         return MetaRunSet(R, tuple(columns), 0)
-    if H < instance.N_R * cfg.B:
+    if H < instance.N_R * cfg.B or H < instance.N_M:
         return _sort_to_runs(machine, region, H, R, d)
     formation_runs = cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M)
     if 1 + _estimated_passes(formation_runs, R, fanin) < \
@@ -528,9 +522,7 @@ def meta_column_capacity(config: MachineConfig, H: int) -> int:
 
 
 def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
-                         m: int, R: int | None = None,
-                         N_R: int | None = None, w: int = 1,
-                         parallel_reduce: bool = False) -> MetaRunSet:
+                         m: int, R: int) -> MetaRunSet:
     """Run the map phase itself: emit meta-columns row-wise, then merge.
 
     Input vectors sit column-major in ``vec_region``; each processor
@@ -547,12 +539,6 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
     if task.v > m:
         raise SimulationError(f"v={task.v} input vectors exceed capacity m={m}")
     _require_block_parallelism(task.H, cfg)
-    if R is None:
-        if N_R is None:
-            raise SimulationError("need R or N_R to size the meta-run set")
-        R = (parallel_run_target(task.H, N_R, w, B) if parallel_reduce
-             else nonparallel_run_target(task.H, N_R, B))
-    R = max(1, R)
     cols_per_mc = max(1, m // task.v)
     n_mc = ceil_div(task.N_M, cols_per_mc)
 
@@ -570,8 +556,7 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
             machine.discard(p, block)
 
     _each_share(machine, vec_region.blocks, discover)
-    if cfg.P > 1:
-        prefix_sum(machine, counts, lambda a, b: a + b)
+    prefix_sum(machine, counts, lambda a, b: a + b)
 
     # Meta-column formation: emit row-sorted pairs into block-aligned
     # slices per processor so writes never collide.
@@ -746,10 +731,7 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
             local_blocks[p] += ceil_div(size, B)
 
     _each_share(machine, T, size_script)
-    if P > 1:
-        ends = prefix_sum(machine, local_blocks, lambda a, b: a + b)
-    else:
-        ends = [local_blocks[0]]
+    ends = prefix_sum(machine, local_blocks, lambda a, b: a + b)
     block_starts = [e - c for e, c in zip(ends, local_blocks)]
 
     def dest_script(p: int, lo: int, hi: int):

@@ -1,4 +1,4 @@
-"""Closed-form parallel I/O bounds and the togetherness potential.
+"""Model requirements, closed-form parallel I/O bounds, togetherness potential.
 
 Upper bounds follow the complexity table of the shuffle algorithms
 (leading terms, with the log P additive term reported separately);
@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .machine import Element, IOTrace, Machine
+from .machine import Element, IOTrace, Machine, ceil_div
 
 UNORDERED = "unordered"
 SORTED = "sorted"
@@ -59,19 +59,9 @@ class Params:
     P: int = 1
     M: int = 3
     B: int = 1
-    eps: float | None = None
 
     def failed_preconditions(self) -> list[str]:
-        bad = []
-        if self.M < 3 * self.B:
-            bad.append("M >= 3B")
-        if self.P > self.H / self.B:
-            bad.append("P <= H/B")
-        if self.v > self.H / self.N_M:
-            bad.append("v <= H/N_M")
-        if self.w > self.H / self.N_R:
-            bad.append("w <= H/N_R")
-        return bad
+        return [r.text for r in unmet_requirements(self, (BOUND_FORMULAS,))]
 
     def max_eps(self) -> float:
         """Largest eps with H/N_R <= N_M^(1-eps) and H/N_M <= N_R^(1-eps)."""
@@ -81,16 +71,44 @@ class Params:
         b = math.log2(self.H / self.N_M) / math.log2(self.N_R)
         return 1.0 - max(a, b)
 
-    def effective_eps(self) -> float:
-        return self.eps if self.eps is not None else self.max_eps()
 
-    def eps_valid(self) -> bool:
-        e = self.effective_eps()
-        return e > 0 and e <= self.max_eps() + 1e-12
+# Scopes of the model requirements.
+EVERY_PIPELINE = "every pipeline"
+SHUFFLE_PIPELINES = "shuffle pipelines"
+PARALLEL_REDUCE_PIPELINES = "parallel-reduce pipelines"
+MAP_TASK_PIPELINES = "map-task pipelines"
+BOUND_FORMULAS = "bound formulas"
 
-    def sixth_root_valid(self) -> bool:
-        return (self.H / self.N_R <= self.N_M ** (1 / 6) + 1e-9
-                and self.H / self.N_M <= self.N_R ** (1 / 6) + 1e-9)
+
+class Requirement(NamedTuple):
+    text: str                      # the requirement, as bound formulas report it
+    skip: str                      # the sweep's skip reason when it fails
+    scopes: tuple[str, ...]
+    holds: Callable[[Params], bool]
+
+
+# Ordered: a skipped sweep row names the first unmet entry, and the
+# predicates after H <= N_M*N_R divide by N_M and N_R.
+REQUIREMENTS = (
+    Requirement("M >= 3B", "M < 3B", (EVERY_PIPELINE, BOUND_FORMULAS),
+                lambda p: p.M >= 3 * p.B),
+    Requirement("H <= N_M*N_R", "H > N_M*N_R", (SHUFFLE_PIPELINES,),
+                lambda p: p.H <= p.N_M * p.N_R),
+    Requirement("P <= H/B", "H/P < B", (SHUFFLE_PIPELINES, BOUND_FORMULAS),
+                lambda p: p.P * p.B <= p.H),
+    Requirement("w <= H/N_R", "w > H/N_R", (PARALLEL_REDUCE_PIPELINES, BOUND_FORMULAS),
+                lambda p: p.w <= p.H / p.N_R),
+    Requirement("v <= H/N_M", "v > H/N_M", (MAP_TASK_PIPELINES, BOUND_FORMULAS),
+                lambda p: p.v <= p.H / p.N_M),
+    Requirement("v <= min(M-B, ceil(H/P))", "v > meta-column capacity",
+                (MAP_TASK_PIPELINES,), lambda p: p.v <= min(p.M - p.B, ceil_div(p.H, p.P))),
+)
+
+
+def unmet_requirements(params: Params, scopes: tuple[str, ...]) -> Iterator[Requirement]:
+    """The requirements binding any of ``scopes`` that ``params`` fail, lazily, in order."""
+    return (r for r in REQUIREMENTS
+            if any(s in scopes for s in r.scopes) and not r.holds(params))
 
 
 @dataclass(frozen=True)
@@ -180,18 +198,28 @@ def _lower(params: Params, formula_id: str, arg: float,
     return CostEstimate(value, "lower", formula_id, note=note)
 
 
+def _counting_invalid(p: Params, formula_id: str,
+                      best_case: bool = False) -> CostEstimate | None:
+    """A counting bound's invalid estimate, or None if its requirements, a
+    positive eps and, for the best case, the sixth-root condition hold."""
+    bad = p.failed_preconditions()
+    if p.max_eps() <= 0:
+        bad.append("H/N_R <= N_M^(1-eps) and H/N_M <= N_R^(1-eps)")
+    if best_case and not (p.H / p.N_R <= p.N_M ** (1 / 6) + 1e-9
+                          and p.H / p.N_M <= p.N_R ** (1 / 6) + 1e-9):
+        bad.append("H/N_R <= N_M^(1/6) and H/N_M <= N_R^(1/6)")
+    if bad:
+        return CostEstimate(None, "lower", formula_id, valid=False, reason=bad[0])
+    return None
+
+
 def thm1_lower(params: Params, layout: str, exact: bool = False) -> CostEstimate:
     """Combined matrix-vector product lower bound per input layout."""
     p = params
-    bad = p.failed_preconditions()
-    if not p.eps_valid():
-        bad.append("H/N_R <= N_M^(1-eps) and H/N_M <= N_R^(1-eps)")
-    if layout == BEST_CASE and not p.sixth_root_valid():
-        bad.append("H/N_R <= N_M^(1/6) and H/N_M <= N_R^(1/6)")
-    if bad:
-        return CostEstimate(None, "lower", f"thm1:{layout}", valid=False,
-                            reason=bad[0])
-    eps = p.effective_eps()
+    invalid = _counting_invalid(p, f"thm1:{layout}", layout == BEST_CASE)
+    if invalid:
+        return invalid
+    eps = p.max_eps()
     if layout == MIXED:
         arg = p.N_R * p.w / p.B
         if exact:
@@ -219,14 +247,12 @@ def thm1_lower(params: Params, layout: str, exact: bool = False) -> CostEstimate
 def lemma2_lower(params: Params, exact: bool = False) -> CostEstimate:
     """Creating a row-major sparse matrix from v vectors."""
     p = params
-    bad = p.failed_preconditions()
-    if not p.eps_valid():
-        bad.append("H/N_R <= N_M^(1-eps) and H/N_M <= N_R^(1-eps)")
-    if bad:
-        return CostEstimate(None, "lower", "lemma2", valid=False, reason=bad[0])
+    invalid = _counting_invalid(p, "lemma2")
+    if invalid:
+        return invalid
     arg = min(p.N_M * p.N_R * p.v / p.H, p.N_M * p.v / p.B)
     if exact:
-        eps = p.effective_eps()
+        eps = p.max_eps()
         earg = min(p.N_M * p.N_R * p.v / (3 * p.H),
                    p.N_M * p.v / (math.e * p.B))
         return _lower(p, "lemma2", arg, exact_spec=(eps * eps / 5, 7, earg))
@@ -245,12 +271,9 @@ def transpose_lower(params: Params) -> CostEstimate:
 def combined_lower(params: Params, layout: str) -> CostEstimate:
     """Transposition and counting bounds merged, plus the log P floor."""
     p = params
-    bad = p.failed_preconditions()
-    if not p.eps_valid():
-        bad.append("H/N_R <= N_M^(1-eps) and H/N_M <= N_R^(1-eps)")
-    if bad:
-        return CostEstimate(None, "lower", f"combined:{layout}", valid=False,
-                            reason=bad[0])
+    invalid = _counting_invalid(p, f"combined:{layout}")
+    if invalid:
+        return invalid
     if layout == COLUMN:
         arg = min(p.N_M * p.N_R * p.B / p.H, p.N_M, p.N_R, p.H / p.B)
     elif layout == MIXED:

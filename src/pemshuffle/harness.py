@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import algorithms as alg
 from . import cost_model as cm
 from .machine import (CREW, EREW, IDLE, MachineConfig, Output, SimulationError,
-                      ceil_div, create_machine)
+                      create_machine)
 from .primitives import gather, prefix_sum, scatter
 from .workload import (
     COLUMN_MAJOR,
@@ -78,6 +78,8 @@ def parse_spec_text(text: str) -> ExperimentSpec:
             items = [value]
         if key in GRID_KEYS:
             grid[key] = [int(x) for x in items]
+            if any(x < 1 for x in grid[key]):
+                raise ValueError(f"line {lineno}: {key} values must be >= 1, got {value}")
         elif key == "algorithms":
             algorithms = items
         elif key == "seeds":
@@ -112,31 +114,30 @@ class Pipeline:
     name: str
     layout: str | None            # required instance layout (None: map task)
     cell: tuple[str, str | None]  # cost-model row for the leading term
-    transposition: bool           # eligible for the potential-delta check
-    parallel_reduce: bool = False
+
+    @property
+    def parallel_reduce(self) -> bool:
+        return self.cell[1] == cm.PARALLEL
+
+    @property
+    def transposition(self) -> bool:
+        """Elements only move: eligible for the potential-delta check."""
+        return self.layout is not None and not self.parallel_reduce
 
 
-PIPELINES: dict[str, Pipeline] = {
-    "direct_shuffle": Pipeline("direct_shuffle", MIXED_COLUMN,
-                               (cm.DIRECT_SHUFFLE, None), True),
-    "complete_sort": Pipeline("complete_sort", MIXED_COLUMN,
-                              (cm.COMPLETE_MERGE, None), True),
-    "unordered_nonparallel": Pipeline("unordered_nonparallel", MIXED_COLUMN,
-                                      (cm.UNORDERED, cm.NONPARALLEL), True),
-    "sorted_nonparallel": Pipeline("sorted_nonparallel", COLUMN_MAJOR,
-                                   (cm.SORTED, cm.NONPARALLEL), True),
-    "parallel_map_nonparallel": Pipeline("parallel_map_nonparallel", None,
-                                         (cm.PARALLEL_MAP, cm.NONPARALLEL), False),
-    "unordered_parallel": Pipeline("unordered_parallel", MIXED_COLUMN,
-                                   (cm.UNORDERED, cm.PARALLEL), False, True),
-    "sorted_parallel": Pipeline("sorted_parallel", COLUMN_MAJOR,
-                                (cm.SORTED, cm.PARALLEL), False, True),
-    "parallel_map_parallel": Pipeline("parallel_map_parallel", None,
-                                      (cm.PARALLEL_MAP, cm.PARALLEL), False, True),
-    "prim_gather": Pipeline("prim_gather", None, ("primitive", None), False),
-    "prim_scatter": Pipeline("prim_scatter", None, ("primitive", None), False),
-    "prim_prefix_sum": Pipeline("prim_prefix_sum", None, ("primitive", None), False),
-}
+PIPELINES: dict[str, Pipeline] = {pipe.name: pipe for pipe in (
+    Pipeline("direct_shuffle", MIXED_COLUMN, (cm.DIRECT_SHUFFLE, None)),
+    Pipeline("complete_sort", MIXED_COLUMN, (cm.COMPLETE_MERGE, None)),
+    Pipeline("unordered_nonparallel", MIXED_COLUMN, (cm.UNORDERED, cm.NONPARALLEL)),
+    Pipeline("sorted_nonparallel", COLUMN_MAJOR, (cm.SORTED, cm.NONPARALLEL)),
+    Pipeline("parallel_map_nonparallel", None, (cm.PARALLEL_MAP, cm.NONPARALLEL)),
+    Pipeline("unordered_parallel", MIXED_COLUMN, (cm.UNORDERED, cm.PARALLEL)),
+    Pipeline("sorted_parallel", COLUMN_MAJOR, (cm.SORTED, cm.PARALLEL)),
+    Pipeline("parallel_map_parallel", None, (cm.PARALLEL_MAP, cm.PARALLEL)),
+    Pipeline("prim_gather", None, ("primitive", None)),
+    Pipeline("prim_scatter", None, ("primitive", None)),
+    Pipeline("prim_prefix_sum", None, ("primitive", None)),
+)}
 
 FIELDNAMES = [
     "algorithm", "seed", "N_M", "N_R", "H", "v", "w", "P", "M", "B", "policy",
@@ -156,25 +157,13 @@ def _fmt(x) -> str:
     return "" if x is None else str(x)
 
 
-def _skip_reason(point: dict[str, int], pipe: Pipeline) -> str | None:
-    N_M, N_R, H = point["N_M"], point["N_R"], point["H"]
-    v, w, P, M, B = point["v"], point["w"], point["P"], point["M"], point["B"]
-    if M < 3 * B:
-        return "M < 3B"
-    if pipe.cell[0] == "primitive":
-        return None
-    if H > N_M * N_R:
-        return "H > N_M*N_R"
-    if H < P * B:
-        return "H/P < B"
-    if pipe.parallel_reduce and w > H / N_R:
-        return "w > H/N_R"
-    if pipe.layout is None:       # map task pipelines
-        if v > H / N_M:
-            return "v > H/N_M"
-        if v > min(M - B, ceil_div(H, P)):
-            return "v > meta-column capacity"
-    return None
+def _skip_reason(params: cm.Params, pipe: Pipeline) -> str | None:
+    """Skip reason of the first unmet cost-model requirement binding the pipeline."""
+    shuffle = pipe.cell[0] != "primitive"
+    scopes = (cm.EVERY_PIPELINE, cm.SHUFFLE_PIPELINES if shuffle else None,
+              cm.PARALLEL_REDUCE_PIPELINES if pipe.parallel_reduce else None,
+              cm.MAP_TASK_PIPELINES if shuffle and pipe.layout is None else None)
+    return next((r.skip for r in cm.unmet_requirements(params, scopes)), None)
 
 
 # Map-dependent step per cost-model map type: (machine, region, loaded
@@ -200,12 +189,11 @@ def _run_shuffle_pipeline(pipe: Pipeline, point: dict[str, int], seed: int,
     vectors = [[rng.randrange(1, 10) for _ in range(N_M)] for _ in range(v)]
     row: dict = {"R": None, "d": alg.merge_degree(H, P, B, M)}
 
+    inst = generate(N_M, N_R, H, v=v, w=w, layout=pipe.layout or COLUMN_MAJOR, seed=seed)
     if pipe.layout is not None:
-        inst = generate(N_M, N_R, H, v=v, w=w, layout=pipe.layout, seed=seed)
         run_inst = elementary_products(inst, vectors) if pipe.parallel_reduce else inst
         machine, region = alg.machine_with_instance(config, run_inst)
     else:
-        inst = generate(N_M, N_R, H, v=v, w=w, layout=COLUMN_MAJOR, seed=seed)
         run_inst = make_map_task(inst, vectors if pipe.parallel_reduce else None)
         machine, region = alg.machine_with_vectors(config, run_inst)
     out_idx = {}
@@ -293,7 +281,8 @@ def run_point(algorithm: str, point: dict[str, int], seed: int,
     pipe = PIPELINES[algorithm]
     row = {"algorithm": algorithm, "seed": seed, "policy": policy,
            **{k: point[k] for k in GRID_KEYS}}
-    reason = _skip_reason(point, pipe)
+    params = _params(point)
+    reason = _skip_reason(params, pipe)
     primitive = pipe.cell[0] == "primitive"
     if reason is not None:
         row.update(status="skipped", reason=reason, correct="", potential="")
@@ -305,19 +294,13 @@ def run_point(algorithm: str, point: dict[str, int], seed: int,
             row.update(status="failed", reason=str(exc), correct="fail",
                        potential="")
         else:
-            params = _params(point)
-            row.update(status="ok", reason="",
-                       leading_term=0.0 if primitive else table_leading(params, pipe),
+            row.update(status="ok", reason="", leading_term=0.0,
                        log2_p=math.log2(point["P"]) if point["P"] > 1 else 0.0,
                        **result)
             if not primitive:
+                row["leading_term"] = cm.table1_upper(params, *pipe.cell).value
                 _attach_bounds(row, params, pipe)
     return {f: row.get(f) for f in FIELDNAMES}
-
-
-def table_leading(params: cm.Params, pipe: Pipeline) -> float:
-    est = cm.table1_upper(params, pipe.cell[0], pipe.cell[1])
-    return est.value
 
 
 # Lower bounds in catalog order: (formula, sweep column, matching upper

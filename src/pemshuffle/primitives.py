@@ -359,10 +359,7 @@ def contract(machine: Machine, region: Region) -> Region:
     run_lockstep(machine, [count_script(p) if p * piece < mblocks else None
                            for p in range(P)])
 
-    if P > 1:
-        ends = prefix_sum(machine, counts, lambda a, b: a + b)
-    else:
-        ends = [counts[0]]
+    ends = prefix_sum(machine, counts, lambda a, b: a + b)
     starts = [e - c for e, c in zip(ends, counts)]
     total = ends[-1] if ends else 0
     out = machine.alloc_region(total)

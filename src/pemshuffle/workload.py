@@ -134,7 +134,7 @@ def _sample_positions(rng: random.Random, N_M: int, N_R: int, H: int,
 def generate(N_M: int, N_R: int, H: int, v: int = 1, w: int = 1,
              layout: str = MIXED_COLUMN, regularity: str | None = None,
              seed: int = 0, meta_width: int | None = None,
-             combined: bool = False, max_col_degree: int | None = None,
+             max_col_degree: int | None = None,
              max_row_degree: int | None = None) -> ShuffleInstance:
     """Draw a shuffle instance, deterministic per seed.
 
@@ -143,18 +143,13 @@ def generate(N_M: int, N_R: int, H: int, v: int = 1, w: int = 1,
     requires the matching divisibility).  Values are distinct integers
     so element identity survives reordering.
 
-    ``combined=True`` additionally demands v <= H/N_M and w <= H/N_R,
-    the combined-task preconditions.  Per-column and per-row degree
-    caps can be requested independently; they are not tied to any
-    validity exponent of the bound formulas.
+    Per-column and per-row degree caps can be requested independently;
+    they are not tied to any validity exponent of the bound formulas.
     """
     if H < 1 or H > N_M * N_R:
         raise GenerationError(f"H={H} infeasible for a {N_R}x{N_M} matrix")
     if v < 1 or w < 1:
         raise GenerationError("v and w must be >= 1")
-    if combined and (v > H / N_M or w > H / N_R):
-        raise GenerationError(
-            f"combined task needs v <= H/N_M and w <= H/N_R (v={v}, w={w})")
     if regularity in ("column", "both") and H % N_M:
         raise GenerationError(f"column-regular needs N_M | H ({N_M} does not divide {H})")
     if regularity in ("row", "both") and H % N_R:

@@ -5,9 +5,11 @@ calibration constants in tests/data/calibration.json after an
 intentional algorithm change, and ``python3 tests/acceptance_specs.py
 --golden`` to refreeze the exact per-row I/O counts in
 tests/data/golden_io.json, the whole BAND+TIGHT sweep CSV in
-tests/data/golden_sweep.csv and the bound catalog of grids/small.cfg in
-tests/data/golden_bounds.csv.  A pure speed-up or refactor must leave
-all of them untouched.
+tests/data/golden_sweep.csv, the bound catalog of grids/small.cfg in
+tests/data/golden_bounds.csv and the SKIP_SPEC sweep CSV in
+tests/data/golden_skips.csv.  A pure speed-up or refactor must leave
+all of them untouched; ``--check`` recomputes them in memory, writes
+nothing, names what moved and exits 1 if anything did.
 """
 
 import json
@@ -48,6 +50,15 @@ TIGHT_SPEC = ExperimentSpec(
     seeds=[0, 1],
 )
 
+# Infeasible and edge points: the skip reason of every sweep requirement
+# on every pipeline, next to the rows that do run.
+SKIP_SPEC = ExperimentSpec(
+    grid={"N_M": [4, 64], "N_R": [4, 64], "H": [16, 64], "v": [1, 9],
+          "w": [1, 9], "P": [1, 32], "M": [6, 12], "B": [4]},
+    algorithms=ALL_PIPELINES,
+    seeds=[0],
+)
+
 CALIBRATION_PATH = os.path.join(os.path.dirname(__file__), "data",
                                 "calibration.json")
 GOLDEN_IO_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -56,6 +67,8 @@ GOLDEN_SWEEP_PATH = os.path.join(os.path.dirname(__file__), "data",
                                  "golden_sweep.csv")
 GOLDEN_BOUNDS_PATH = os.path.join(os.path.dirname(__file__), "data",
                                   "golden_bounds.csv")
+GOLDEN_SKIPS_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                 "golden_skips.csv")
 SMALL_GRID_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                                "grids", "small.cfg")
 
@@ -94,17 +107,37 @@ def small_bounds_catalog() -> str:
     return bounds_catalog(load_spec(SMALL_GRID_PATH))
 
 
-def regenerate_golden() -> dict:
+def golden_texts() -> tuple[dict, dict[str, str]]:
+    """The per-row I/O counts and the text of every golden file, by path."""
     report = combined_report()
     golden = golden_io(report.rows)
-    with open(GOLDEN_IO_PATH, "w", encoding="utf-8") as fh:
-        json.dump(golden, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    for path, text in ((GOLDEN_SWEEP_PATH, report.to_csv()),
-                       (GOLDEN_BOUNDS_PATH, small_bounds_catalog())):
+    io_text = json.dumps(golden, indent=1, sort_keys=True) + "\n"
+    return golden, {GOLDEN_IO_PATH: io_text,
+                    GOLDEN_SWEEP_PATH: report.to_csv(),
+                    GOLDEN_BOUNDS_PATH: small_bounds_catalog(),
+                    GOLDEN_SKIPS_PATH: run_sweep(SKIP_SPEC).to_csv()}
+
+
+def regenerate_golden() -> dict:
+    golden, texts = golden_texts()
+    for path, text in texts.items():
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return golden
+
+
+def check_golden() -> int:
+    """Compare the recomputed golden files with the frozen ones; 1 if any differ."""
+    golden, texts = golden_texts()
+    frozen = frozen_golden_io()
+    for k in sorted(frozen.keys() | golden.keys()):
+        if frozen.get(k) != golden.get(k):
+            print(f"moved: {k}: {frozen.get(k)} -> {golden.get(k)}")
+    differ = [path for path, text in texts.items()
+              if not os.path.exists(path) or frozen_text(path) != text]
+    for path in differ:
+        print(f"differs: {os.path.relpath(path)}")
+    return 1 if differ else 0
 
 
 def frozen_golden_io() -> dict:
@@ -120,6 +153,8 @@ def frozen_text(path: str) -> str:
 if __name__ == "__main__":
     if sys.argv[1:] == ["--golden"]:
         print(f"{len(regenerate_golden())} rows frozen in {GOLDEN_IO_PATH}")
+    elif sys.argv[1:] == ["--check"]:
+        sys.exit(check_golden())
     else:
         for algo, c in sorted(regenerate().items()):
             print(f"{algo}: C1={c['C1']} C2={c['C2']}")

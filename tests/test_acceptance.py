@@ -17,6 +17,7 @@ from pemshuffle.algorithms import (
     machine_with_vectors,
     make_direct_plan,
     meta_column_capacity,
+    nonparallel_run_target,
     parallel_run_target,
     prepare_parallel_map,
     prepare_sorted_map,
@@ -90,7 +91,7 @@ def test_criterion_1_oracle_correctness():
         if kind == 0:
             inst = generate(N_M, N_R, H, v=v, w=w, layout=MIXED_COLUMN, seed=seed)
             m, region = machine_with_instance(config, inst)
-            meta = prepare_unordered_map(m, region, inst)
+            meta = prepare_unordered_map(m, region, inst, nonparallel_run_target(H, N_R, B))
             out = finalize_nonparallel_reduce(m, meta)
             assert [e.payload for e in m.region_elements(out)] == oracle_shuffle(inst)
             prod = elementary_products(inst, vectors)
@@ -101,7 +102,7 @@ def test_criterion_1_oracle_correctness():
         elif kind == 1:
             inst = generate(N_M, N_R, H, v=v, w=w, layout=COLUMN_MAJOR, seed=seed)
             m, region = machine_with_instance(config, inst)
-            meta = prepare_sorted_map(m, region, inst)
+            meta = prepare_sorted_map(m, region, inst, nonparallel_run_target(H, N_R, B))
             out = finalize_nonparallel_reduce(m, meta)
             assert [e.payload for e in m.region_elements(out)] == oracle_shuffle(inst)
             prod = elementary_products(inst, vectors)
@@ -116,13 +117,14 @@ def test_criterion_1_oracle_correctness():
             inst = generate(N_M, N_R, H, v=v, w=w, layout=COLUMN_MAJOR, seed=seed)
             task = make_map_task(inst)
             m, vec = machine_with_vectors(config, task)
-            meta = prepare_parallel_map(m, vec, task, m_cap, N_R=N_R)
+            meta = prepare_parallel_map(m, vec, task, m_cap,
+                                        nonparallel_run_target(H, N_R, B))
             out = finalize_nonparallel_reduce(m, meta)
             assert [e.payload for e in m.region_elements(out)] == oracle_shuffle(inst)
             task2 = make_map_task(inst, vectors)
             m2, vec2 = machine_with_vectors(config, task2)
-            meta2 = prepare_parallel_map(m2, vec2, task2, m_cap, N_R=N_R, w=w,
-                                         parallel_reduce=True)
+            meta2 = prepare_parallel_map(m2, vec2, task2, m_cap,
+                                         parallel_run_target(H, N_R, w, B))
             grid = finalize_parallel_reduce(m2, meta2, lambda a, b: a + b, 0, N_R, w)
 
         expected = oracle_combined_mxv(inst, vectors)
@@ -333,6 +335,13 @@ def test_golden_report(combined_rows):
     from pemshuffle.harness import Report
     assert Report(combined_rows).to_csv() == specs.frozen_text(specs.GOLDEN_SWEEP_PATH)
     assert specs.small_bounds_catalog() == specs.frozen_text(specs.GOLDEN_BOUNDS_PATH)
+
+
+def test_golden_skips():
+    """The SKIP_SPEC sweep, skipped rows and their reasons included,
+    repeats golden_skips.csv byte for byte."""
+    got = run_sweep(specs.SKIP_SPEC).to_csv()
+    assert got == specs.frozen_text(specs.GOLDEN_SKIPS_PATH)
 
 
 def test_criterion_8_determinism(band_report):

@@ -166,13 +166,13 @@ class TestPrepareUnordered:
         cfg = MachineConfig(P=2, M=24, B=4)
         m, region = machine_with_instance(cfg, inst)
         with pytest.raises(SimulationError):
-            prepare_unordered_map(m, region, inst)
+            prepare_unordered_map(m, region, inst, nonparallel_run_target(64, 8, 4))
 
     def test_composition_equals_oracle(self):
         inst = generate(32, 32, 512, layout=MIXED_COLUMN, seed=3)
         cfg = MachineConfig(P=4, M=32, B=4)
         m, region = machine_with_instance(cfg, inst)
-        meta = prepare_unordered_map(m, region, inst)
+        meta = prepare_unordered_map(m, region, inst, nonparallel_run_target(512, 32, 4))
         out = finalize_nonparallel_reduce(m, meta)
         assert region_payloads(m, out) == oracle_shuffle(inst)
         m.assert_memories_empty()
@@ -193,7 +193,7 @@ class TestPrepareSorted:
         cfg = MachineConfig(P=2, M=24, B=4)
         m, region = machine_with_instance(cfg, inst)
         assert inst.H / inst.N_R < cfg.B
-        meta = prepare_sorted_map(m, region, inst)
+        meta = prepare_sorted_map(m, region, inst, nonparallel_run_target(128, 64, 4))
         assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
         out = finalize_nonparallel_reduce(m, meta)
         assert region_payloads(m, out) == oracle_shuffle(inst)
@@ -202,7 +202,7 @@ class TestPrepareSorted:
         inst = generate(32, 16, 512, layout=COLUMN_MAJOR, seed=6)
         cfg = MachineConfig(P=4, M=32, B=4)
         m, region = machine_with_instance(cfg, inst)
-        meta = prepare_sorted_map(m, region, inst)
+        meta = prepare_sorted_map(m, region, inst, nonparallel_run_target(512, 16, 4))
         out = finalize_nonparallel_reduce(m, meta)
         assert region_payloads(m, out) == oracle_shuffle(inst)
         m.assert_memories_empty()
@@ -211,7 +211,7 @@ class TestPrepareSorted:
         inst = generate(16, 8, 128, layout=COLUMN_MAJOR, seed=7)
         cfg = MachineConfig(P=4, M=24, B=4)
         m, region = machine_with_instance(cfg, inst)
-        meta = prepare_sorted_map(m, region, inst)
+        meta = prepare_sorted_map(m, region, inst, nonparallel_run_target(128, 8, 4))
         assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
 
 
@@ -221,7 +221,8 @@ class TestPrepareParallelMap:
         cfg = MachineConfig(P=2, M=64, B=4)
         m, vec = machine_with_vectors(cfg, make_map_task(inst))
         cap = meta_column_capacity(cfg, inst.H)
-        meta = prepare_parallel_map(m, vec, make_map_task(inst), cap, N_R=16)
+        meta = prepare_parallel_map(m, vec, make_map_task(inst), cap,
+                                    nonparallel_run_target(128, 16, 4))
         assert meta.rounds == 0
 
     def test_one_merge_level(self):
@@ -240,7 +241,7 @@ class TestPrepareParallelMap:
         task = make_map_task(inst)
         m, vec = machine_with_vectors(cfg, task)
         cap = meta_column_capacity(cfg, inst.H)
-        meta = prepare_parallel_map(m, vec, task, cap, N_R=16)
+        meta = prepare_parallel_map(m, vec, task, cap, nonparallel_run_target(256, 16, 4))
         assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
 
     def test_capacity_below_block_rejected(self):
@@ -257,7 +258,7 @@ class TestPrepareParallelMap:
         task = make_map_task(inst)
         m, vec = machine_with_vectors(cfg, task)
         cap = meta_column_capacity(cfg, inst.H)
-        meta = prepare_parallel_map(m, vec, task, cap, N_R=16)
+        meta = prepare_parallel_map(m, vec, task, cap, nonparallel_run_target(512, 16, 4))
         out = finalize_nonparallel_reduce(m, meta)
         assert region_payloads(m, out) == oracle_shuffle(inst)
         m.assert_memories_empty()
@@ -318,10 +319,11 @@ class TestFinalizeNonparallel:
             inst = generate(n_m, n_r, h, layout=layout, seed=trial)
             cfg = MachineConfig(P=P, M=M, B=B)
             m, region = machine_with_instance(cfg, inst)
+            R = nonparallel_run_target(h, n_r, B)
             if layout == MIXED_COLUMN:
-                meta = prepare_unordered_map(m, region, inst)
+                meta = prepare_unordered_map(m, region, inst, R)
             else:
-                meta = prepare_sorted_map(m, region, inst)
+                meta = prepare_sorted_map(m, region, inst, R)
             out = finalize_nonparallel_reduce(m, meta)
             assert region_payloads(m, out) == oracle_shuffle(inst)
             m.assert_memories_empty()

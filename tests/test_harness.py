@@ -54,6 +54,12 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="line 2: unknown policy 'EREW'"):
             parse_spec_text("H = [64]\npolicy = EREW\n")
 
+    @pytest.mark.parametrize("key", harness.GRID_KEYS)
+    def test_grid_values_below_one(self, key):
+        # v = 0 used to crash the sweep, P = 0 and B = 0 gave failed rows
+        with pytest.raises(ValueError, match=f"line 2: {key} values must be >= 1"):
+            parse_spec_text(f"H = [64]\n{key} = [2, 0]\n")
+
 
 PRIMITIVE_POINT = {"N_M": 16, "N_R": 16, "H": 128, "v": 1, "w": 1,
                    "P": 8, "M": 24, "B": 4}
@@ -119,6 +125,14 @@ class TestSweep:
         report = run_sweep(spec)
         assert all(r["status"] == "skipped" and r["reason"] == "H/P < B"
                    for r in report.rows)
+
+    @pytest.mark.parametrize("algorithm", ["sorted_nonparallel", "sorted_parallel"])
+    def test_more_columns_than_pairs(self, algorithm):
+        # N_M > H: load balancing cannot split the columns, so the rows
+        # sort from scratch instead of failing
+        point = {"N_M": 512, "N_R": 4, "H": 64, "v": 1, "w": 1, "P": 1, "M": 12, "B": 1}
+        row = harness.run_point(algorithm, point, 0)
+        assert (row["status"], row["correct"]) == ("ok", "pass")
 
 
 class TestCalibrate:

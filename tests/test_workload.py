@@ -206,9 +206,3 @@ class TestDegreeCaps:
     def test_infeasible_caps(self):
         with pytest.raises(GenerationError):
             generate(8, 8, 32, seed=42, max_col_degree=2)
-
-    def test_combined_preconditions(self):
-        with pytest.raises(GenerationError):
-            generate(16, 16, 32, v=4, w=1, combined=True, seed=43)
-        inst = generate(16, 16, 64, v=4, w=4, combined=True, seed=43)
-        assert inst.v == 4
