@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .machine import (
-    IDLE,
-    Action,
     Element,
     Input,
     Machine,
@@ -29,6 +27,7 @@ from .machine import (
     SimulationError,
     ceil_div,
     create_machine,
+    exchange,
     run_lockstep,
 )
 from .primitives import contract, prefix_sum, range_bounded_load_balance
@@ -240,37 +239,29 @@ def _merge_task(machine: Machine, p: int, srcs: Sequence[tuple[Region, int, int]
         raise SimulationError(f"merge wrote {written} elements, expected {out_count}")
 
 
-def _merge_profile(machine: Machine, runs: Sequence[Run],
-                   combined: bool) -> list[tuple[int, ...]]:
-    """Merged consumption order of a run group (free plan knowledge).
+def _block_cuts(machine: Machine, runs: Sequence[Run], combined: bool,
+                B: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Merged length of a run group and its block cuts (free plan knowledge).
 
-    Entry t lists the source run indices folded into output position t;
-    without combining every entry is a single source.
+    ``cuts[b]`` counts, per run, the elements consumed by the first
+    min(b*B, length) output positions, for b = 0..ceil(length/B).  With
+    ``combined``, equal keys fold into one output position.
     """
-    streams = [run_elements(machine, r) for r in runs]
-
-    def tagged(stream, s):
-        for e in stream:
-            yield (e.key, s)
-
-    merged = heapq.merge(*(tagged(stream, s)
-                           for s, stream in enumerate(streams)))
-    if not combined:
-        return [(s,) for _, s in merged]
-    order: list[tuple[int, ...]] = []
-    cur_key = None
-    cur: list[int] = []
-    for key, s in merged:
-        if key != cur_key:
-            if cur:
-                order.append(tuple(cur))
-            cur_key = key
-            cur = [s]
-        else:
-            cur.append(s)
-    if cur:
-        order.append(tuple(cur))
-    return order
+    streams = [zip(map(_key, run_elements(machine, r)), itertools.repeat(s))
+               for s, r in enumerate(runs)]
+    counts = [0] * len(runs)
+    cuts: list[tuple[int, ...]] = []
+    n = 0
+    last = None
+    for key, s in heapq.merge(*streams):
+        if not (combined and n and key == last):
+            if n % B == 0:
+                cuts.append(tuple(counts))
+            n += 1
+            last = key
+        counts[s] += 1
+    cuts.append(tuple(counts))
+    return n, cuts
 
 
 def _merge_groups_parallel(machine: Machine, groups: Sequence[Sequence[Run]],
@@ -284,46 +275,20 @@ def _merge_groups_parallel(machine: Machine, groups: Sequence[Sequence[Run]],
     """
     P = machine.config.P
     B = machine.config.B
-    profiles = [_merge_profile(machine, g, combine is not None) for g in groups]
-    out_counts = [len(pr) for pr in profiles]
+    plans = [_block_cuts(machine, g, combine is not None, B) for g in groups]
+    out_counts = [n for n, _ in plans]
     regions = [machine.alloc_region(c) for c in out_counts]
-
     tasks_by_proc = _split_blocks(out_counts, P, B)
-
-    # Per-group source-consumption snapshots at every needed cut position.
-    cut_positions: dict[int, set[int]] = {gi: set() for gi in range(len(groups))}
-    for tasks in tasks_by_proc:
-        for gi, blo, bhi in tasks:
-            cut_positions[gi].add(min(blo * B, out_counts[gi]))
-            cut_positions[gi].add(min(bhi * B, out_counts[gi]))
-    snapshots: dict[int, dict[int, list[int]]] = {}
-    for gi, prof in enumerate(profiles):
-        wanted = sorted(cut_positions[gi])
-        counts = [0] * len(groups[gi])
-        snap: dict[int, list[int]] = {}
-        nxt = 0
-        for pos in range(len(prof) + 1):
-            while nxt < len(wanted) and wanted[nxt] == pos:
-                snap[pos] = list(counts)
-                nxt += 1
-            if pos < len(prof):
-                for s in prof[pos]:
-                    counts[s] += 1
-        snapshots[gi] = snap
 
     def script(p: int):
         for gi, blo, bhi in tasks_by_proc[p]:
-            grp = groups[gi]
-            lo = min(blo * B, out_counts[gi])
-            hi = min(bhi * B, out_counts[gi])
-            if lo >= hi:
-                continue
-            at_lo = snapshots[gi][lo]
-            at_hi = snapshots[gi][hi]
+            n, cuts = plans[gi]
+            at_lo, at_hi = cuts[blo], cuts[bhi]
             srcs = [(r.region, r.lo + at_lo[s], r.lo + at_hi[s])
-                    for s, r in enumerate(grp) if at_hi[s] > at_lo[s]]
+                    for s, r in enumerate(groups[gi]) if at_hi[s] > at_lo[s]]
             addrs = [regions[gi].addr(b) for b in range(blo, bhi)]
-            yield from _merge_task(machine, p, srcs, addrs, hi - lo, combine)
+            yield from _merge_task(machine, p, srcs, addrs,
+                                   min(bhi * B, n) - blo * B, combine)
 
     run_lockstep(machine, [script(p) if tasks_by_proc[p] else None
                            for p in range(P)])
@@ -455,13 +420,20 @@ def _column_runs(machine: Machine, region: Region) -> list[Run]:
     return [Run(region, lo, hi) for lo, hi in _key_stretches(elems, 1)]
 
 
-def _estimated_passes(start_runs: int, target: int, fanin: int) -> int:
-    passes = 0
-    n = start_runs
-    while n > target:
-        n = ceil_div(n, fanin)
-        passes += 1
-    return passes
+def _columns_beat_sorting(cfg: MachineConfig, H: int, columns: Sequence[Run],
+                          R: int, fanin: int) -> bool:
+    """Whether merging the presorted columns down to R runs is estimated
+    no dearer than sorting from scratch: one formation pass plus the
+    merge passes of the formed runs.  The estimate counts merge passes
+    only."""
+    def passes(n: int) -> int:
+        count = 0
+        while n > R:
+            n = ceil_div(n, fanin)
+            count += 1
+        return count
+
+    return passes(len(columns)) <= 1 + passes(cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M))
 
 
 def prepare_sorted_map(machine: Machine, region: Region,
@@ -486,11 +458,8 @@ def prepare_sorted_map(machine: Machine, region: Region,
     columns = _column_runs(machine, region)
     if len(columns) <= R:
         return MetaRunSet(R, tuple(columns), 0)
-    if H < instance.N_R * cfg.B or H < instance.N_M:
-        return _sort_to_runs(machine, region, H, R, d)
-    formation_runs = cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M)
-    if 1 + _estimated_passes(formation_runs, R, fanin) < \
-            _estimated_passes(len(columns), R, fanin):
+    if (H < instance.N_R * cfg.B or H < instance.N_M
+            or not _columns_beat_sorting(cfg, H, columns, R, fanin)):
         return _sort_to_runs(machine, region, H, R, d)
 
     assignment = range_bounded_load_balance(
@@ -986,23 +955,15 @@ def _sorted_scan(machine: Machine, region: Region) -> bool:
     ok = all(local_ok)
     active = [p for p in range(P) if firsts[p] is not None]
     if len(active) > 1:
-        out_step: list[Action] = [IDLE] * P
-        msgs = {}
-        for a, b in zip(active, active[1:]):
-            msg = machine.create(a, ("bound", a), lasts[a])
-            msgs[a] = msg
-            out_step[a] = Output(machine.inbox(b), (msg,))
-        machine.parallel_step(out_step)
-        in_step: list[Action] = [IDLE] * P
-        for a, b in zip(active, active[1:]):
-            in_step[b] = Input(machine.inbox(b))
-        results = machine.parallel_step(in_step)
-        for a, b in zip(active, active[1:]):
+        msgs = [(a, b, (machine.create(a, ("bound", a), lasts[a]),))
+                for a, b in zip(active, active[1:])]
+        results = exchange(machine, msgs)
+        for a, b, sent in msgs:
             got = results[b][0]
             if got.payload > firsts[b]:
                 ok = False
             machine.discard(b, (got,))
-            machine.discard(a, (msgs[a],))
+            machine.discard(a, sent)
     return ok
 
 
@@ -1022,11 +983,8 @@ def complete_sort(machine: Machine, region: Region,
     if kind == ROW_MAJOR and _sorted_scan(machine, region):
         return region
     if kind == COLUMN_MAJOR:
-        fanin = _effective_fanin(cfg, d)
         columns = _column_runs(machine, region)
-        formation_runs = cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M)
-        if _estimated_passes(len(columns), 1, fanin) <= \
-                1 + _estimated_passes(formation_runs, 1, fanin):
+        if _columns_beat_sorting(cfg, H, columns, 1, _effective_fanin(cfg, d)):
             if len(columns) == 1:
                 return region
             meta = parallel_merge_to_R(machine, columns, 1, d, validate=False)

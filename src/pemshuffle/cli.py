@@ -18,15 +18,20 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--policy", choices=["crew", "erew"], default=None)
 
 
-def _spec_from_args(args) -> harness.ExperimentSpec:
-    spec = harness.load_spec(args.grid)
+def _spec_from_args(parser: argparse.ArgumentParser, args) -> harness.ExperimentSpec:
+    """The grid file's spec with the command line overrides; a bad grid
+    file or an unknown algorithm is a usage error (exit 2)."""
+    try:
+        spec = harness.load_spec(args.grid)
+    except (ValueError, OSError) as exc:
+        parser.error(f"{args.grid}: {exc}")
     if args.seed is not None:
         spec.seeds = [args.seed]
     if args.algorithms:
         names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
         for a in names:
             if a not in harness.PIPELINES:
-                raise SystemExit(f"unknown algorithm {a!r}")
+                parser.error(f"unknown algorithm {a!r}")
         spec.algorithms = names
     if args.policy:
         spec.policy = args.policy
@@ -43,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in ("sweep", "calibrate", "verify", "bounds"):
         _add_common(subs.add_parser(name))
     args = parser.parse_args(argv)
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(parser, args)
 
     if args.command == "sweep":
         report = harness.run_sweep(spec)

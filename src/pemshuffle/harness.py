@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from . import algorithms as alg
 from . import cost_model as cm
-from .machine import (CREW, EREW, IDLE, MachineConfig, Output, SimulationError,
+from .machine import (CREW, EREW, MachineConfig, Output, SimulationError, act,
                       create_machine)
 from .primitives import gather, prefix_sum, scatter
 from .workload import (
@@ -255,7 +255,7 @@ def _run_primitive(pipe: Pipeline, point: dict[str, int], seed: int,
     elif pipe.name == "prim_scatter":
         src = machine.alloc(1)
         filler = [machine.create(0, ("s", i), i) for i in range(B)]
-        machine.parallel_step([Output(src, filler)] + [IDLE] * (P - 1))
+        act(machine, {0: Output(src, filler)})
         machine.discard(0, filler)
         base = machine.io_count
         got = scatter(machine, src, list(range(P)), tree=True)

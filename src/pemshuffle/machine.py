@@ -425,6 +425,33 @@ def run_lockstep(machine: Machine, scripts: Sequence) -> None:
         inbound = {p: results[p] for p in live}
 
 
+def act(machine: Machine, actions: dict[int, Action]) -> list:
+    """One parallel I/O of the given per-processor actions; every
+    processor not named stays idle.  Returns ``parallel_step``'s result."""
+    step: list[Action] = [IDLE] * machine.config.P
+    for p, a in actions.items():
+        step[p] = a
+    return machine.parallel_step(step)
+
+
+def exchange(machine: Machine,
+             messages: Sequence[tuple[int, int, Sequence[Element]]]) -> list:
+    """One inbox round: a BSP* 1-relation super-step in two parallel I/Os.
+
+    Every (src, dst, elements) message is output by src to dst's inbox,
+    then every dst inputs its inbox.  Senders must be distinct, and so
+    must receivers.  Returns the second step's per-processor contents,
+    so entry dst holds the block dst received.
+    """
+    if (len({m[0] for m in messages}) != len(messages)
+            or len({m[1] for m in messages}) != len(messages)):
+        raise SimulationError("exchange violates the 1-relation: "
+                              "a processor sends or receives twice")
+    act(machine, {src: Output(machine.inbox(dst), elems)
+                  for src, dst, elems in messages})
+    return act(machine, {dst: Input(machine.inbox(dst)) for _, dst, _ in messages})
+
+
 # -- BSP* correspondence ---------------------------------------------------
 
 
@@ -443,36 +470,24 @@ def bsp_star_replay(machine: Machine,
 
     Each super-step is a list of (src, dst, payloads) messages where
     every processor sends at most one message of at most B elements and
-    receives at most one.  Per super-step the senders output their
-    message blocks, then the receivers input them, so a program of
-    ``len(supersteps)`` super-steps costs exactly twice that many
-    parallel I/Os.  Returns the number of I/Os consumed.
+    receives at most one.  Every super-step is one ``exchange``, so a
+    program of ``len(supersteps)`` super-steps costs exactly twice that
+    many parallel I/Os.  Returns the number of I/Os consumed.
     """
     before = machine.io_count
     B = machine.config.B
     for step_no, msgs in enumerate(supersteps):
         if not msgs:
             raise SimulationError(f"super-step {step_no} carries no messages")
-        srcs = [m[0] for m in msgs]
-        dsts = [m[1] for m in msgs]
-        if len(set(srcs)) != len(srcs) or len(set(dsts)) != len(dsts):
-            raise SimulationError(f"super-step {step_no} violates the 1-relation")
-        P = machine.config.P
-        out_actions: list[Action] = [IDLE] * P
-        in_actions: list[Action] = [IDLE] * P
-        sent: dict[int, list[Element]] = {}
+        sent = []
         for src, dst, payloads in msgs:
             if len(payloads) > B:
                 raise SimulationError(f"message longer than B={B}")
-            elems = [machine.create(src, ("msg", step_no, src, dst), v) for v in payloads]
-            sent[src] = elems
-            out_actions[src] = Output(machine.inbox(dst), elems)
-        machine.parallel_step(out_actions)
-        for src, dst, _ in msgs:
-            in_actions[dst] = Input(machine.inbox(dst))
-        results = machine.parallel_step(in_actions)
-        for src, dst, _ in msgs:
-            machine.discard(src, sent[src])
+            sent.append((src, dst, [machine.create(src, ("msg", step_no, src, dst), v)
+                                    for v in payloads]))
+        results = exchange(machine, sent)
+        for src, dst, elems in sent:
+            machine.discard(src, elems)
             machine.discard(dst, results[dst])
     return machine.io_count - before
 

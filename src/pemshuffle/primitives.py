@@ -13,16 +13,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .machine import (
-    IDLE,
-    Action,
     Element,
-    Idle,
     Input,
     Machine,
     Output,
     Region,
     SimulationError,
+    act,
     ceil_div,
+    exchange,
     run_lockstep,
 )
 
@@ -46,7 +45,6 @@ def gather(machine: Machine, participants: Sequence[int],
     Returns the address of the written block.
     """
     B = machine.config.B
-    P = machine.config.P
     active = [[p, list(contributions[p])] for p in participants
               if contributions.get(p)]
     if combine is None:
@@ -56,27 +54,12 @@ def gather(machine: Machine, participants: Sequence[int],
     if out_addr is None:
         out_addr = machine.alloc(1)
     if not active:
-        owner = participants[0]
-        step: list[Action] = [IDLE] * P
-        step[owner] = Output(out_addr, ())
-        machine.parallel_step(step)
+        act(machine, {participants[0]: Output(out_addr, ())})
         return out_addr
     while len(active) > 1:
-        pairs = []
-        nxt = []
-        for idx in range(0, len(active) - 1, 2):
-            pairs.append((active[idx], active[idx + 1]))
-            nxt.append(active[idx])
-        if len(active) % 2:
-            nxt.append(active[-1])
-        out_step: list[Action] = [IDLE] * P
-        for left, right in pairs:
-            out_step[right[0]] = Output(machine.inbox(left[0]), right[1])
-        machine.parallel_step(out_step)
-        in_step: list[Action] = [IDLE] * P
-        for left, _ in pairs:
-            in_step[left[0]] = Input(machine.inbox(left[0]))
-        results = machine.parallel_step(in_step)
+        pairs = list(zip(active[::2], active[1::2]))
+        results = exchange(machine, [(right[0], left[0], right[1])
+                                     for left, right in pairs])
         for left, right in pairs:
             lp, lelems = left
             rp, relems = right
@@ -89,13 +72,11 @@ def gather(machine: Machine, participants: Sequence[int],
                           for key, payload in combine(lelems, received)]
                 machine.discard(lp, lelems + received)
                 left[1] = merged
-        active = nxt
+        active = active[::2]
     owner, elems = active[0]
     if len(elems) > B:
         raise SimulationError(f"gather result of {len(elems)} > B={B} elements")
-    step = [IDLE] * P
-    step[owner] = Output(out_addr, elems)
-    machine.parallel_step(step)
+    act(machine, {owner: Output(out_addr, elems)})
     machine.discard(owner, elems)
     return out_addr
 
@@ -113,35 +94,15 @@ def scatter(machine: Machine, source: int, targets: Sequence[int],
         raise SimulationError(f"scatter of empty or absent block {source}")
     if tree is None:
         tree = machine.config.policy != "crew"
-    P = machine.config.P
-    got: dict[int, tuple[Element, ...]] = {}
-    if not tree:
-        step: list[Action] = [IDLE] * P
-        for t in targets:
-            step[t] = Input(source)
-        results = machine.parallel_step(step)
-        for t in targets:
-            got[t] = results[t]
-        return got
-
-    first = targets[0]
-    step = [IDLE] * P
-    step[first] = Input(source)
-    results = machine.parallel_step(step)
-    got[first] = results[first]
-    holders = [first]
-    remaining = list(targets[1:])
+    readers = targets[:1] if tree else targets
+    results = act(machine, {t: Input(source) for t in readers})
+    got = {t: results[t] for t in readers}
+    holders = list(readers)
+    remaining = list(targets[len(readers):])
     while remaining:
         batch = remaining[: len(holders)]
         remaining = remaining[len(holders):]
-        out_step: list[Action] = [IDLE] * P
-        for h, t in zip(holders, batch):
-            out_step[h] = Output(machine.inbox(t), got[h])
-        machine.parallel_step(out_step)
-        in_step: list[Action] = [IDLE] * P
-        for t in batch:
-            in_step[t] = Input(machine.inbox(t))
-        results = machine.parallel_step(in_step)
+        results = exchange(machine, [(h, t, got[h]) for h, t in zip(holders, batch)])
         for t in batch:
             got[t] = results[t]
         holders.extend(batch)
@@ -162,14 +123,7 @@ def prefix_sum(machine: Machine, values: Sequence, op: Callable) -> list:
     acc = [machine.create(p, ("scan", p), values[p]) for p in range(P)]
     shift = 1
     while shift < P:
-        out_step: list[Action] = [IDLE] * P
-        for p in range(P - shift):
-            out_step[p] = Output(machine.inbox(p + shift), (acc[p],))
-        machine.parallel_step(out_step)
-        in_step: list[Action] = [IDLE] * P
-        for q in range(shift, P):
-            in_step[q] = Input(machine.inbox(q))
-        results = machine.parallel_step(in_step)
+        results = exchange(machine, [(p, p + shift, (acc[p],)) for p in range(P - shift)])
         for q in range(shift, P):
             incoming = results[q][0]
             merged = machine.create(q, ("scan", q), op(incoming.payload, acc[q].payload))
@@ -293,16 +247,11 @@ def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
         for idx, (r, pos) in enumerate(boundary_lists[vp]):
             range_starts.setdefault(r, pos)
             entry_home.setdefault(r, scratch[vp] + idx // B)
-    in_step: list[Action] = [IDLE] * P
-    fetched = []
-    for idx, rp in enumerate(range(volume_procs, P)):
-        r = idx + 1
-        if r in entry_home:
-            in_step[rp] = Input(entry_home[r])
-            fetched.append(rp)
-    if fetched:
-        results = machine.parallel_step(in_step)
-        for rp in fetched:
+    fetch = {rp: Input(entry_home[r]) for r, rp in enumerate(range(volume_procs, P), 1)
+             if r in entry_home}
+    if fetch:
+        results = act(machine, fetch)
+        for rp in fetch:
             machine.discard(rp, results[rp])
 
     cuts = {0}
@@ -418,18 +367,10 @@ def contract(machine: Machine, region: Region) -> Region:
                  for blk in shared}
     max_rank = max((len(s) for s in senders_of.values()), default=0)
     for rank in range(max_rank):
-        expecting = []
-        out_step: list[Action] = [IDLE] * P
-        for blk in shared:
-            if rank < len(senders_of[blk]):
-                q = senders_of[blk][rank]
-                out_step[q] = Output(machine.inbox(owner_of[blk]), pieces[blk][q])
-                expecting.append((blk, q))
-        machine.parallel_step(out_step)
-        in_step: list[Action] = [IDLE] * P
-        for blk, _ in expecting:
-            in_step[owner_of[blk]] = Input(machine.inbox(owner_of[blk]))
-        results = machine.parallel_step(in_step)
+        expecting = [(blk, senders_of[blk][rank]) for blk in shared
+                     if rank < len(senders_of[blk])]
+        results = exchange(machine, [(q, owner_of[blk], pieces[blk][q])
+                                     for blk, q in expecting])
         for blk, q in expecting:
             owner = owner_of[blk]
             collected[blk][q] = list(results[owner])
@@ -437,18 +378,14 @@ def contract(machine: Machine, region: Region) -> Region:
 
     remaining = list(shared)
     while remaining:
-        out_step = [IDLE] * P
-        wrote = []
+        writes: dict[int, tuple[int, list[Element]]] = {}
         for blk in remaining:
-            owner = owner_of[blk]
-            if isinstance(out_step[owner], Idle):
-                cells: list[Element] = []
-                for q in sorted(collected[blk]):
-                    cells.extend(collected[blk][q])
-                out_step[owner] = Output(out.addr(blk), cells)
-                wrote.append((blk, cells, owner))
-        machine.parallel_step(out_step)
-        for blk, cells, owner in wrote:
+            if owner_of[blk] not in writes:
+                writes[owner_of[blk]] = (blk, [e for q in sorted(collected[blk])
+                                               for e in collected[blk][q]])
+        act(machine, {owner: Output(out.addr(blk), cells)
+                      for owner, (blk, cells) in writes.items()})
+        for owner, (blk, cells) in writes.items():
             machine.discard(owner, cells)
             remaining.remove(blk)
     return out

@@ -246,6 +246,28 @@ class TestCli:
         assert cli_main(["bounds", "--grid", grid, "--out", str(out)]) == 0
         assert out.read_text().startswith("formula_id,")
 
+    @pytest.mark.parametrize("text", ["v = [0]\n", "foo = 1\n", None],
+                             ids=["value-below-one", "unknown-key", "missing-file"])
+    def test_grid_file_error_is_a_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.cfg"
+        if text is not None:
+            path.write_text(text)
+        for command in ("sweep", "calibrate", "verify", "bounds"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([command, "--grid", str(path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.splitlines()[-1].startswith(f"pemshuffle: error: {path}: ")
+
+    def test_unknown_algorithm_is_a_usage_error(self, tmp_path, capsys):
+        grid = self.write_grid(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--grid", grid, "--algorithms", "complete_sort,nope"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "pemshuffle: error: unknown algorithm 'nope'"
+
     def test_erew_policy_flag(self, tmp_path):
         grid = self.write_grid(tmp_path)
         out = tmp_path / "report.csv"

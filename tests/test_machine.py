@@ -14,9 +14,12 @@ from pemshuffle.machine import (
     Output,
     PolicyViolation,
     ProvenanceViolation,
+    SimulationError,
+    act,
     bsp_star_cost,
     bsp_star_replay,
     create_machine,
+    exchange,
     write_trace_csv,
 )
 
@@ -217,6 +220,38 @@ class TestBspStar:
         m = simple(P=4, M=12, B=4)
         with pytest.raises(Exception):
             bsp_star_replay(m, [[(0, 2, [1]), (1, 2, [2])]])
+
+
+class TestRoundHelpers:
+    def test_act_leaves_unnamed_processors_idle(self):
+        m = simple(P=4, M=12, B=4, blocks=[(0, [(1, "x")])])
+        r = act(m, {2: Input(0)})
+        assert m.io_count == 1
+        assert [rec is None for rec in m.trace.steps[0]] == [True, True, False, True]
+        assert r[2][0].key == 1 and r[0] is None
+
+    def test_exchange_is_two_steps_returning_each_block(self):
+        m = simple(P=4, M=12, B=4)
+        sent = {p: [m.create(p, ("m", p), p)] for p in (0, 1)}
+        got = exchange(m, [(0, 3, sent[0]), (1, 0, sent[1])])
+        assert m.io_count == 2
+        assert list(got[3]) == sent[0] and list(got[0]) == sent[1]
+        assert got[1] is None and got[2] is None
+        assert m.holds(3, sent[0][0]) and m.holds(0, sent[1][0])
+
+    def test_exchange_rejects_two_messages_from_one_sender(self):
+        m = simple(P=4, M=12, B=4)
+        a, b = m.create(0, "a", 0), m.create(0, "b", 1)
+        with pytest.raises(SimulationError, match="1-relation"):
+            exchange(m, [(0, 1, [a]), (0, 2, [b])])
+        assert m.io_count == 0
+
+    def test_exchange_rejects_two_messages_to_one_receiver(self):
+        m = simple(P=4, M=12, B=4)
+        a, b = m.create(0, "a", 0), m.create(1, "b", 1)
+        with pytest.raises(SimulationError, match="1-relation"):
+            exchange(m, [(0, 2, [a]), (1, 2, [b])])
+        assert m.io_count == 0
 
 
 def test_trace_csv_export():
