@@ -398,7 +398,7 @@ def _sort_to_runs(machine: Machine, region: Region, H: int, R: int,
 def prepare_unordered_map(machine: Machine, region: Region,
                           instance: ShuffleInstance, R: int) -> MetaRunSet:
     """Meta-runs from a mixed column layout via parallel merge sort."""
-    if instance.layout_kind() != MIXED_COLUMN:
+    if instance.layout != MIXED_COLUMN:
         raise SimulationError(
             f"unordered-map preparation needs mixed column layout, got {instance.layout}")
     cfg = machine.config
@@ -445,7 +445,7 @@ def prepare_sorted_map(machine: Machine, region: Region,
     cannot split, and instances whose columns are so short that sorting
     from scratch is estimated cheaper than merging them.
     """
-    if instance.layout_kind() != COLUMN_MAJOR:
+    if instance.layout != COLUMN_MAJOR:
         raise SimulationError(
             f"sorted-map preparation needs column major layout, got {instance.layout}")
     cfg = machine.config
@@ -559,7 +559,7 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
                 created = [machine.create(p, (t.i, t.j), t) for t in chunk]
                 yield Output(mc_regions[mc].addr(bi), created)
                 machine.discard(p, created)
-            machine.discard(p, held)
+            machine.discard(p, sorted(held, key=lambda e: e.uid))
 
     run_lockstep(machine, [emit_script(p) if tasks_by_proc[p] else None
                            for p in range(cfg.P)])
@@ -979,10 +979,9 @@ def complete_sort(machine: Machine, region: Region,
     H = instance.H
     _require_block_parallelism(H, cfg)
     d = merge_degree(H, cfg.P, cfg.B, cfg.M)
-    kind = instance.layout_kind()
-    if kind == ROW_MAJOR and _sorted_scan(machine, region):
+    if instance.layout == ROW_MAJOR and _sorted_scan(machine, region):
         return region
-    if kind == COLUMN_MAJOR:
+    if instance.layout == COLUMN_MAJOR:
         columns = _column_runs(machine, region)
         if _columns_beat_sorting(cfg, H, columns, 1, _effective_fanin(cfg, d)):
             if len(columns) == 1:

@@ -40,6 +40,15 @@ def _spec_from_args(parser: argparse.ArgumentParser, args) -> harness.Experiment
     return spec
 
 
+def _write_output(path: str | None, text: str) -> None:
+    """Write a command's CSV to ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pemshuffle",
@@ -52,12 +61,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "sweep":
         report = harness.run_sweep(spec)
-        csv_text = report.to_csv()
-        if spec.output_path:
-            with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(csv_text)
-        else:
-            sys.stdout.write(csv_text)
+        _write_output(spec.output_path, report.to_csv())
         ok = report.all_pass()
         print(f"{len(report.rows)} rows, "
               f"{sum(1 for r in report.rows if r['status'] == 'skipped')} skipped, "
@@ -81,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         report, verdicts = harness.verify(spec)
         if spec.output_path:
-            harness.write_report(report, spec.output_path)
+            _write_output(spec.output_path, report.to_csv())
         for name, ok in (("budget", verdicts.budget_ok),
                          ("correctness", verdicts.correctness_ok),
                          ("potential", verdicts.potential_ok),
@@ -91,16 +95,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}", file=sys.stderr)
         return 0 if verdicts.all_ok() else 1
 
-    if args.command == "bounds":
-        text = harness.bounds_catalog(spec)
-        if spec.output_path:
-            with open(spec.output_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-
-    return 2
+    # bounds
+    _write_output(spec.output_path, harness.bounds_catalog(spec))
+    return 0
 
 
 if __name__ == "__main__":

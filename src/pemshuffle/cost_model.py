@@ -6,11 +6,6 @@ lower bounds cover the combined matrix-vector product for the three
 layouts, matrix creation from vectors, the transposition potential
 argument and their combinations.  Logarithms are base 2 wherever a
 base is unstated; log_d is a ratio of base-2 logs.
-
-Lower bounds default to the clean leading-term form.  ``exact=True``
-evaluates the explicit constants of the full derivations instead
-(1/7 and 1/14 on the log branch; eps^2/5, eps/10 and 1/20 on the
-linear branch) with merge base min(M/B, 2H/(PB)).
 """
 
 from __future__ import annotations
@@ -119,7 +114,6 @@ class CostEstimate:
     valid: bool = True
     reason: str = ""           # failed precondition name when invalid
     log_p_term: float = 0.0    # additive term kept out of the leading value
-    note: str = ""
 
 
 def _d(params: Params) -> float:
@@ -128,15 +122,10 @@ def _d(params: Params) -> float:
     return max(2.0, min(params.M / params.B, params.H / (params.P * params.B)))
 
 
-def _d_exact(params: Params) -> float:
-    return max(2.0, min(params.M / params.B, 2 * params.H / (params.P * params.B)))
-
-
-def _log_d(params: Params, x: float, exact: bool = False) -> float:
-    base = _d_exact(params) if exact else _d(params)
+def _log_d(params: Params, x: float) -> float:
     if x <= 0:
         return 0.0
-    return math.log2(x) / math.log2(base)
+    return math.log2(x) / math.log2(_d(params))
 
 
 def table1_upper(params: Params, map_type: str,
@@ -176,26 +165,13 @@ def table1_upper(params: Params, map_type: str,
                         log_p_term=logp)
 
 
-def _lower(params: Params, formula_id: str, arg: float,
-           exact_spec: tuple[float, float, float] | None = None,
-           note: str = "") -> CostEstimate:
-    """min(H/P, scan * log_d(arg)), floored at the scanning bound.
-
-    ``exact_spec`` = (linear_factor, log_divisor, arg) switches to the
-    fully explicit constants of the derivation.
-    """
+def _lower(params: Params, formula_id: str, arg: float) -> CostEstimate:
+    """min(H/P, scan * log_d(arg)), floored at the scanning bound."""
     p = params
     scan = p.H / (p.P * p.B)
-    if exact_spec is not None:
-        lin, div, earg = exact_spec
-        log_branch = (p.H / (div * p.P * p.B)) * _log_d(p, earg, exact=True) \
-            if earg > 0 else 0.0
-        value = min(lin * p.H / p.P, log_branch)
-        return CostEstimate(max(value, 0.0), "lower", formula_id + ":exact",
-                            note=note)
     leading = scan * _log_d(p, arg)
     value = min(p.H / p.P, max(leading, scan))
-    return CostEstimate(value, "lower", formula_id, note=note)
+    return CostEstimate(value, "lower", formula_id)
 
 
 def _counting_invalid(p: Params, formula_id: str,
@@ -213,49 +189,31 @@ def _counting_invalid(p: Params, formula_id: str,
     return None
 
 
-def thm1_lower(params: Params, layout: str, exact: bool = False) -> CostEstimate:
+def thm1_lower(params: Params, layout: str) -> CostEstimate:
     """Combined matrix-vector product lower bound per input layout."""
     p = params
     invalid = _counting_invalid(p, f"thm1:{layout}", layout == BEST_CASE)
     if invalid:
         return invalid
-    eps = p.max_eps()
     if layout == MIXED:
         arg = p.N_R * p.w / p.B
-        if exact:
-            return _lower(p, "thm1:mixed", arg,
-                          exact_spec=(eps / 10, 7, p.N_R * p.w / (2 * p.B)))
         return _lower(p, "thm1:mixed", arg)
     if layout == COLUMN:
         arg = min(p.N_M * p.N_R * p.w / p.H, p.N_R * p.w / p.B)
-        if exact:
-            earg = min(p.N_M * p.N_R * p.w / (3 * p.H),
-                       p.N_R * p.w / (math.e * p.B))
-            return _lower(p, "thm1:column", arg,
-                          exact_spec=(eps * eps / 5, 7, earg),
-                          note="exact constants approximate (open combinatorial factor)")
         return _lower(p, "thm1:column", arg)
     if layout == BEST_CASE:
         arg = p.N_M * p.N_R * p.v * p.w / (p.H * min(p.M, p.H / p.P))
-        if exact:
-            return _lower(p, "thm1:best_case", arg,
-                          exact_spec=(1 / 20, 14, arg))
         return _lower(p, "thm1:best_case", arg)
     raise ValueError(f"unknown layout {layout!r}")
 
 
-def lemma2_lower(params: Params, exact: bool = False) -> CostEstimate:
+def lemma2_lower(params: Params) -> CostEstimate:
     """Creating a row-major sparse matrix from v vectors."""
     p = params
     invalid = _counting_invalid(p, "lemma2")
     if invalid:
         return invalid
     arg = min(p.N_M * p.N_R * p.v / p.H, p.N_M * p.v / p.B)
-    if exact:
-        eps = p.max_eps()
-        earg = min(p.N_M * p.N_R * p.v / (3 * p.H),
-                   p.N_M * p.v / (math.e * p.B))
-        return _lower(p, "lemma2", arg, exact_spec=(eps * eps / 5, 7, earg))
     return _lower(p, "lemma2", arg)
 
 

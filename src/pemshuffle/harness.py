@@ -338,13 +338,12 @@ def _attach_bounds(row: dict, params: cm.Params, pipe: Pipeline) -> None:
 @dataclass
 class Report:
     rows: list[dict]
-    fieldnames: list[str] = field(default_factory=lambda: list(FIELDNAMES))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write(",".join(self.fieldnames) + "\n")
+        buf.write(",".join(FIELDNAMES) + "\n")
         for row in self.rows:
-            buf.write(",".join(_fmt(row.get(f)) for f in self.fieldnames) + "\n")
+            buf.write(",".join(_fmt(row.get(f)) for f in FIELDNAMES) + "\n")
         return buf.getvalue()
 
     def ok_rows(self) -> list[dict]:
@@ -371,11 +370,6 @@ def run_sweep(spec: ExperimentSpec) -> Report:
     rows.sort(key=lambda r: (r["algorithm"], r["seed"],
                              tuple(r[k] for k in GRID_KEYS)))
     return Report(rows)
-
-
-def write_report(report: Report, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(report.to_csv())
 
 
 # -- calibration ---------------------------------------------------------------
@@ -444,8 +438,7 @@ class Verdicts:
                 and self.bounds_ok)
 
 
-def check_budgets(report: Report, constants: dict,
-                  tolerance: float = 1e-9) -> list[str]:
+def check_budgets(report: Report, constants: dict) -> list[str]:
     failures = []
     for r in report.ok_rows():
         consts = constants.get(r["algorithm"])
@@ -454,7 +447,7 @@ def check_budgets(report: Report, constants: dict,
             continue
         lead = r["leading_term"] or 0.0
         budget = consts["C1"] * lead + consts["C2"] * _log_term(r["P"])
-        if r["measured_io"] > budget + tolerance:
+        if r["measured_io"] > budget + 1e-9:
             failures.append(
                 f"{r['algorithm']} seed={r['seed']} H={r['H']}: "
                 f"{r['measured_io']} > {budget:.2f}")

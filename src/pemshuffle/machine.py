@@ -14,7 +14,6 @@ which makes every step atomic and the whole simulation deterministic.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -133,10 +132,6 @@ class IOTrace:
         self.P = P
         self.steps: list[tuple] = []
         self.free_ops: dict[int, list[tuple]] = {}
-
-    @property
-    def parallel_io_count(self) -> int:
-        return len(self.steps)
 
     def record_free(self, record: tuple) -> None:
         self.free_ops.setdefault(len(self.steps), []).append(record)
@@ -455,15 +450,6 @@ def exchange(machine: Machine,
 # -- BSP* correspondence ---------------------------------------------------
 
 
-def bsp_star_cost(trace: IOTrace, g: float, L: float) -> float:
-    """Cost of the trace read as a 1-relation blockwise BSP program.
-
-    Every parallel I/O becomes one super-step carrying h=1 messages of
-    length s=B, priced g*h*ceil(s/B) + L = g + L.
-    """
-    return trace.parallel_io_count * (g + L)
-
-
 def bsp_star_replay(machine: Machine,
                     supersteps: Sequence[Sequence[tuple[int, int, Sequence]]]) -> int:
     """Replay a 1-relation BSP exchange: two parallel I/Os per super-step.
@@ -491,16 +477,3 @@ def bsp_star_replay(machine: Machine,
             machine.discard(dst, results[dst])
     return machine.io_count - before
 
-
-def write_trace_csv(trace: IOTrace, fileobj) -> None:
-    """Dump a trace as CSV: step, processor, action, address, elements_moved."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["step", "processor", "action", "address", "elements_moved"])
-    for t, records in enumerate(trace.steps):
-        for p, rec in enumerate(records):
-            if rec is None:
-                writer.writerow([t, p, "idle", "", 0])
-            elif rec[0] == "I":
-                writer.writerow([t, p, "input", rec[1], rec[2]])
-            else:
-                writer.writerow([t, p, "output", rec[1], len(rec[2])])

@@ -4,7 +4,7 @@ A shuffle instance is a sparse N_R x N_M matrix of intermediate pairs:
 triple (i, j, x) says map operation j emitted value x for reducer i.
 For combined matrix-vector tasks every triple additionally names which
 of v input vectors it stems from and which of w output vectors it
-feeds.  Instances carry their triples in one of the four layouts the
+feeds.  Instances carry their triples in one of the three layouts the
 algorithms consume.
 """
 
@@ -17,9 +17,8 @@ from typing import Callable, NamedTuple, Sequence
 MIXED_COLUMN = "mixed_column"
 COLUMN_MAJOR = "column_major"
 ROW_MAJOR = "row_major"
-META_COLUMN = "meta_column"  # serialised as meta_column:<columns per meta-column>
 
-LAYOUTS = (MIXED_COLUMN, COLUMN_MAJOR, ROW_MAJOR, META_COLUMN)
+LAYOUTS = (MIXED_COLUMN, COLUMN_MAJOR, ROW_MAJOR)
 
 
 class GenerationError(ValueError):
@@ -43,56 +42,9 @@ class ShuffleInstance:
     H: int
     v: int
     w: int
-    layout: str            # layout token, e.g. "mixed_column" or "meta_column:4"
+    layout: str            # one of LAYOUTS
     triples: tuple[Triple, ...]
     seed: int
-
-    def layout_kind(self) -> str:
-        return self.layout.split(":", 1)[0]
-
-    def meta_width(self) -> int | None:
-        if ":" in self.layout:
-            return int(self.layout.split(":", 1)[1])
-        return None
-
-
-def _layout_token(layout: str, meta_width: int | None) -> str:
-    if layout == META_COLUMN:
-        if not meta_width or meta_width < 1:
-            raise GenerationError("meta_column layout needs a positive column width")
-        return f"{META_COLUMN}:{meta_width}"
-    return layout
-
-
-def _sample_capped(rng: random.Random, N_M: int, N_R: int, H: int,
-                   max_col: int | None, max_row: int | None) -> list[tuple[int, int]]:
-    col_cap = max_col if max_col is not None else H
-    row_cap = max_row if max_row is not None else H
-    if H > N_M * col_cap or H > N_R * row_cap:
-        raise GenerationError("degree caps leave no room for H entries")
-    chosen: set[int] = set()
-    col_deg = [0] * (N_M + 1)
-    row_deg = [0] * (N_R + 1)
-    out = []
-    while len(out) < H:
-        for _ in range(64):
-            c = rng.randrange(N_M * N_R)
-            i, j = c % N_R + 1, c // N_R + 1
-            if c not in chosen and col_deg[j] < col_cap and row_deg[i] < row_cap:
-                break
-        else:
-            feasible = [c for c in range(N_M * N_R) if c not in chosen
-                        and col_deg[c // N_R + 1] < col_cap
-                        and row_deg[c % N_R + 1] < row_cap]
-            if not feasible:
-                raise GenerationError("degree caps leave no room for H entries")
-            c = feasible[rng.randrange(len(feasible))]
-            i, j = c % N_R + 1, c // N_R + 1
-        chosen.add(c)
-        col_deg[j] += 1
-        row_deg[i] += 1
-        out.append((i, j))
-    return out
 
 
 def _sample_positions(rng: random.Random, N_M: int, N_R: int, H: int,
@@ -133,18 +85,13 @@ def _sample_positions(rng: random.Random, N_M: int, N_R: int, H: int,
 
 def generate(N_M: int, N_R: int, H: int, v: int = 1, w: int = 1,
              layout: str = MIXED_COLUMN, regularity: str | None = None,
-             seed: int = 0, meta_width: int | None = None,
-             max_col_degree: int | None = None,
-             max_row_degree: int | None = None) -> ShuffleInstance:
+             seed: int = 0) -> ShuffleInstance:
     """Draw a shuffle instance, deterministic per seed.
 
     Positions are uniform without replacement, subject to the requested
     regularity (exactly H/N_M per column and/or H/N_R per row, which
     requires the matching divisibility).  Values are distinct integers
     so element identity survives reordering.
-
-    Per-column and per-row degree caps can be requested independently;
-    they are not tied to any validity exponent of the bound formulas.
     """
     if H < 1 or H > N_M * N_R:
         raise GenerationError(f"H={H} infeasible for a {N_R}x{N_M} matrix")
@@ -156,59 +103,22 @@ def generate(N_M: int, N_R: int, H: int, v: int = 1, w: int = 1,
         raise GenerationError(f"row-regular needs N_R | H ({N_R} does not divide {H})")
     if layout not in LAYOUTS:
         raise GenerationError(f"unknown layout {layout!r}")
-    if regularity is not None and max_col_degree is not None \
-            and max_col_degree < H // N_M and regularity in ("column", "both"):
-        raise GenerationError("column degree cap below the regular degree")
-    if regularity is not None and max_row_degree is not None \
-            and max_row_degree < H // N_R and regularity in ("row", "both"):
-        raise GenerationError("row degree cap below the regular degree")
 
     rng = random.Random(seed)
-    if regularity is None and (max_col_degree is not None
-                               or max_row_degree is not None):
-        positions = _sample_capped(rng, N_M, N_R, H, max_col_degree,
-                                   max_row_degree)
-    else:
-        positions = _sample_positions(rng, N_M, N_R, H, regularity)
+    positions = _sample_positions(rng, N_M, N_R, H, regularity)
     values = list(range(1, H + 1))
     rng.shuffle(values)
     triples = [Triple(i, j, values[idx], rng.randrange(1, v + 1), rng.randrange(1, w + 1))
                for idx, (i, j) in enumerate(positions)]
 
-    kind = layout
-    if kind == MIXED_COLUMN:
+    if layout == MIXED_COLUMN:
         decorated = sorted((t.j, rng.random(), t) for t in triples)
         triples = [t for _, _, t in decorated]
-    elif kind == COLUMN_MAJOR:
+    elif layout == COLUMN_MAJOR:
         triples.sort(key=lambda t: (t.j, t.i))
-    elif kind == ROW_MAJOR:
+    else:
         triples.sort(key=lambda t: (t.i, t.j))
-    else:
-        width = meta_width or 1
-        triples.sort(key=lambda t: ((t.j - 1) // width, t.i, t.j))
-    return ShuffleInstance(N_M, N_R, H, v, w, _layout_token(kind, meta_width),
-                           tuple(triples), seed)
-
-
-def validate_layout(instance: ShuffleInstance) -> None:
-    """Check the triple sequence against its layout's ordering rule."""
-    t = instance.triples
-    kind = instance.layout_kind()
-    if kind == MIXED_COLUMN:
-        cols = [x.j for x in t]
-        if cols != sorted(cols):
-            raise GenerationError("mixed column layout must group columns in order")
-    elif kind == COLUMN_MAJOR:
-        if [(x.j, x.i) for x in t] != sorted((x.j, x.i) for x in t):
-            raise GenerationError("column major layout must sort by (j, i)")
-    elif kind == ROW_MAJOR:
-        if [(x.i, x.j) for x in t] != sorted((x.i, x.j) for x in t):
-            raise GenerationError("row major layout must sort by (i, j)")
-    else:
-        width = instance.meta_width() or 1
-        ranks = [((x.j - 1) // width, x.i, x.j) for x in t]
-        if ranks != sorted(ranks):
-            raise GenerationError("meta-column layout must be row-sorted per column range")
+    return ShuffleInstance(N_M, N_R, H, v, w, layout, tuple(triples), seed)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -249,44 +159,16 @@ def elementary_products(instance: ShuffleInstance, input_vectors: Sequence[Seque
                            instance.w, instance.layout, triples, instance.seed)
 
 
-# -- serialization -----------------------------------------------------------
-
-
-def to_text(instance: ShuffleInstance) -> str:
-    lines = [f"{instance.N_M} {instance.N_R} {instance.H} {instance.v} "
-             f"{instance.w} {instance.layout} {instance.seed}"]
-    for t in instance.triples:
-        lines.append(f"{t.i} {t.j} {t.value} {t.k} {t.l}")
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> ShuffleInstance:
-    lines = text.strip("\n").split("\n")
-    head = lines[0].split()
-    if len(head) != 7:
-        raise GenerationError(f"bad instance header: {lines[0]!r}")
-    n_m, n_r, h, v, w = (int(x) for x in head[:5])
-    layout, seed = head[5], int(head[6])
-    triples = []
-    for line in lines[1:]:
-        i, j, value, k, l = (int(x) for x in line.split())
-        triples.append(Triple(i, j, value, k, l))
-    if len(triples) != h:
-        raise GenerationError(f"header says H={h}, found {len(triples)} triples")
-    return ShuffleInstance(n_m, n_r, h, v, w, layout, tuple(triples), seed)
-
-
 # -- machine feed ------------------------------------------------------------
 
 
-def instance_blocks(instance: ShuffleInstance, B: int,
-                    base_addr: int = 0) -> list[tuple[int, list]]:
+def instance_blocks(instance: ShuffleInstance, B: int) -> list[tuple[int, list]]:
     """Chunk the triples into machine blocks keyed by (i, j)."""
     out = []
     t = instance.triples
     for bi in range(0, len(t), B):
         chunk = t[bi:bi + B]
-        out.append((base_addr + bi // B, [((x.i, x.j), x) for x in chunk]))
+        out.append((bi // B, [((x.i, x.j), x) for x in chunk]))
     return out
 
 
@@ -301,7 +183,7 @@ class MapTask:
     emission: Callable[[int], list[Triple]]
     vector_values: tuple = ()    # column-major: (j=1,k=1..v), (j=2,k=1..v), ...
 
-    def vector_blocks(self, B: int, base_addr: int = 0) -> list[tuple[int, list]]:
+    def vector_blocks(self, B: int) -> list[tuple[int, list]]:
         specs = []
         idx = 0
         for j in range(1, self.N_M + 1):
@@ -310,7 +192,7 @@ class MapTask:
                 idx += 1
         out = []
         for bi in range(0, len(specs), B):
-            out.append((base_addr + bi // B, specs[bi:bi + B]))
+            out.append((bi // B, specs[bi:bi + B]))
         return out
 
 

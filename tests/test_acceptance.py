@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, one pass/fail line each."""
 
+import hashlib
 import math
 import random
 import time
@@ -23,10 +24,11 @@ from pemshuffle.algorithms import (
     prepare_sorted_map,
     prepare_unordered_map,
 )
-from pemshuffle.harness import Report, _log_term, run_sweep
+from pemshuffle.harness import PIPELINES, Report, _log_term, run_point, run_sweep
 from pemshuffle.machine import (
     EREW,
     Input,
+    Machine,
     MachineConfig,
     PolicyViolation,
     bsp_star_replay,
@@ -349,3 +351,43 @@ def test_criterion_8_determinism(band_report):
     second = run_sweep(specs.BAND_SPEC).to_csv().encode()
     announce(8, "sweep rerun is byte-identical", first == second,
              f"{len(first)} bytes")
+
+
+def _trace_digest(trace) -> str:
+    """SHA-256 of every step record and free record, elements by uid."""
+    def uids(elems):
+        return tuple(e.uid for e in elems)
+
+    h = hashlib.sha256()
+    for t, records in enumerate(trace.steps):
+        h.update(repr((t, [rec if rec is None or rec[0] == "I"
+                           else (rec[0], rec[1], uids(rec[2]))
+                           for rec in records])).encode())
+    for t in sorted(trace.free_ops):
+        for rec in trace.free_ops[t]:
+            h.update(repr((t, rec[0], rec[1], *map(uids, rec[2:]))).encode())
+    return h.hexdigest()
+
+
+def test_trace_determinism(monkeypatch):
+    """Two runs of every pipeline in one process leave identical traces."""
+    machines = []
+    init = Machine.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        machines.append(self)
+
+    monkeypatch.setattr(Machine, "__init__", recording_init)
+    point = dict(N_M=128, N_R=32, H=1024, v=1, w=1, P=8, M=24, B=4)
+
+    def run():
+        machines.clear()
+        for name in PIPELINES:
+            assert run_point(name, point, 0)["status"] == "ok", name
+        assert len(machines) == len(PIPELINES)
+        return dict(zip(PIPELINES, (_trace_digest(m.trace) for m in machines)))
+
+    first, second = run(), run()
+    moved = [name for name in PIPELINES if first[name] != second[name]]
+    assert not moved, f"traces differ between runs: {moved}"

@@ -137,18 +137,6 @@ class TestLemma2:
         assert est.valid
         assert est.value == pytest.approx(p.H / (p.P * p.B))
 
-    def test_exact_mode_matches_explicit_constants(self):
-        p = cm.Params(N_M=2 ** 10, N_R=2 ** 10, H=2 ** 16, v=4, P=8,
-                      M=512, B=16)
-        est = cm.lemma2_lower(p, exact=True)
-        eps = p.max_eps()
-        base = min(p.M / p.B, 2 * p.H / (p.P * p.B))
-        arg = min(p.N_M * p.N_R * p.v / (3 * p.H),
-                  p.N_M * p.v / (math.e * p.B))
-        expected = min((eps * eps / 5) * p.H / p.P,
-                       (p.H / (7 * p.P * p.B)) * math.log2(arg) / math.log2(base))
-        assert est.value == pytest.approx(expected)
-
 
 class TestTranspose:
     def test_dense_square_picks_block_size(self):

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from pemshuffle.machine import (
@@ -16,11 +14,9 @@ from pemshuffle.machine import (
     ProvenanceViolation,
     SimulationError,
     act,
-    bsp_star_cost,
     bsp_star_replay,
     create_machine,
     exchange,
-    write_trace_csv,
 )
 
 
@@ -32,7 +28,7 @@ class TestCreateMachine:
     def test_single_block(self):
         m = simple(blocks=[(0, [(1, "a"), (2, "b")])])
         assert len(m.peek(0)) == 2
-        assert m.trace.parallel_io_count == 0
+        assert m.io_count == 0
 
     def test_memory_too_small(self):
         with pytest.raises(ConfigurationError):
@@ -194,17 +190,6 @@ class TestDeterminism:
 
 
 class TestBspStar:
-    def test_cost_of_ten_steps(self):
-        m = simple(P=1, M=6, B=2, blocks=[(0, [(1, 0)])])
-        for _ in range(10):
-            m.parallel_step([Input(0)])
-            m.discard(0, m.held_sorted(0))
-        assert bsp_star_cost(m.trace, g=1, L=2) == 30
-
-    def test_empty_trace(self):
-        m = simple()
-        assert bsp_star_cost(m.trace, g=1, L=2) == 0
-
     def test_replay_costs_two_per_superstep(self):
         m = simple(P=4, M=12, B=4, policy=EREW)
         steps = [[(0, 1, [1, 2]), (2, 3, [3])] for _ in range(3)]
@@ -214,7 +199,6 @@ class TestBspStar:
         m = simple(P=2, M=12, B=4)
         n = bsp_star_replay(m, [[(0, 1, [7])] for _ in range(5)])
         assert n == 10
-        assert bsp_star_cost(m.trace, g=3, L=4) == n * (3 + 4)
 
     def test_one_relation_enforced(self):
         m = simple(P=4, M=12, B=4)
@@ -253,16 +237,3 @@ class TestRoundHelpers:
             exchange(m, [(0, 2, [a]), (1, 2, [b])])
         assert m.io_count == 0
 
-
-def test_trace_csv_export():
-    m = simple(P=2, M=12, B=4, blocks=[(0, [(1, "x")])])
-    r = m.parallel_step([Input(0), IDLE])
-    m.parallel_step([Output(4, r[0]), IDLE])
-    m.discard(0, r[0])
-    buf = io.StringIO()
-    write_trace_csv(m.trace, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "step,processor,action,address,elements_moved"
-    assert lines[1] == "0,0,input,0,1"
-    assert lines[2] == "0,1,idle,,0"
-    assert lines[3] == "1,0,output,4,1"

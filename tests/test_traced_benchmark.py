@@ -9,6 +9,9 @@ staging steps into the row's count and break the traced benchmark's
 pipelines in a fresh process and catches that.
 """
 
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -47,3 +50,21 @@ def test_traced_steps_equal_measured_io():
     for name, status, measured, traced in rows:
         assert status == "ok", name
         assert traced == measured, f"{name}: traced {traced} steps, measured {measured}"
+
+
+def test_hooked_names_are_public_functions():
+    """Every name the tracer puts in a layer of its own is a public function
+    of a wrapped module.  The tracer skips a name it does not find, so a
+    deleted or renamed function would zero its layer's metrics silently."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    public = set()
+    for modname in tracer.MODULE_LAYER:
+        module = importlib.import_module(modname)
+        public.update(name for name, fn in vars(module).items()
+                      if not name.startswith("_") and inspect.isfunction(fn)
+                      and fn.__module__ == modname)
+    missing = sorted(set(tracer.FUNCTION_LAYER) - public)
+    assert not missing, f"hooked names with no public function: {missing}"
