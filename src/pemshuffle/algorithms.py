@@ -664,7 +664,9 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
 
     def scan_script(p: int, lo: int, hi: int):
         for ri, addr, base, win_lo, win_hi in _span_blocks(runs, lo, hi, B):
+            # the S entries need positions only, so the block is not held
             block = yield Input(addr)
+            machine.discard(p, block)
             for off in range(len(block)):
                 pos = base + off
                 if win_lo <= pos < win_hi and pos in start_of_tile:
@@ -672,7 +674,6 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
                     entry = machine.create(p, ("S", ti), pos)
                     yield Output(s_table + ti, (entry,))
                     machine.discard(p, (entry,))
-            machine.discard(p, block)
 
     _each_share(machine, H, scan_script)
 

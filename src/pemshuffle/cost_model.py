@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import filterfalse
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .machine import Element, IOTrace, Machine, ceil_div
@@ -260,18 +259,12 @@ def potential(machine: Machine,
 
     Every internal memory and every external block is rated by
     sum f(x_i) over the number x_i of its elements destined for output
-    block i, f(x) = x log2 x.  An element's rating rests at the block it
-    was last written to and is lost once that block is overwritten
-    without it; a processor that inputs the element from that block
-    takes the rating into its memory until it drops the element again.
+    block i, f(x) = x log2 x.  An element counts in every memory that
+    holds it.  While no memory holds it, it counts at the block that
+    last received it, for as long as that block still holds it.
     Elements without an output block (bookkeeping values) are ignored.
-
     The value is ``phi_final`` of ``check_potential_deltas`` replaying
-    the machine's trace.  An input of a block holding a stale copy of an
-    element, one whose rating rests at a newer block, rates the copy in
-    the reader's memory as well, until the reader drops it.  The
-    pipelines drop such copies with the step that read them, so only a
-    value read between a step and that step's own drops counts them.
+    the machine's trace.
     """
     cfg = machine.config
     return check_potential_deltas(machine.trace, machine.initial_image,
@@ -291,10 +284,6 @@ class PotentialReport:
     violations: list[int] = field(default_factory=list)
 
     @property
-    def margins(self) -> list[float]:
-        return [self.bound - d for d in self.deltas]
-
-    @property
     def total_delta(self) -> float:
         return sum(self.deltas)
 
@@ -311,19 +300,21 @@ class _Replay:
     """Potential ratings of a replayed trace, settled once per step.
 
     Ratings are counts per (container, output block), a container being
-    a block address a >= 0 or processor p as ~p.  Every rated element
-    has one home entry -- a while its rating rests at block a, ~a while
-    it is away -- and one holding processor; further holders, which
-    only copies have, go to a side list.  Within a step the count
-    changes gather in ``net``; ``settle`` turns them into the step's
-    phi increase.
+    a block address a >= 0 or processor p as ~p.  ``held[p]`` holds the
+    rated elements in p's memory, ``holders`` counts the memories holding
+    each and ``twice`` the elements held by two or more.  ``home`` maps
+    an element to the block that last received it while that block still
+    holds it; the element counts there while no memory holds it.  Within
+    a step the count changes gather in ``net``; ``settle`` turns them
+    into the step's phi increase.
     """
 
-    def __init__(self, output_block_of, table_size: int):
+    def __init__(self, output_block_of, P: int, table_size: int):
         self.out_of = output_block_of
+        self.held: list[set[Element]] = [set() for _ in range(P)]
+        self.holders: dict[Element, int] = {}
+        self.twice = 0
         self.home: dict[Element, int] = {}
-        self.holder: dict[Element, int] = {}
-        self.extra: dict[Element, list[int]] = {}
         self.counts: dict[int, dict[int, int]] = {}
         self.net: dict[int, dict[int, int]] = {}
         self.f = _xlog2x(table_size)
@@ -346,157 +337,89 @@ class _Replay:
                 placed += 1
         return placed
 
-    def read(self, p: int, addr: int, elems: Iterable[Element]) -> None:
-        out_of, home, holder, extra = self.out_of, self.home, self.holder, self.extra
+    def read(self, p: int, elems: Iterable[Element], skip=()) -> None:
+        """p takes ``elems`` into memory, except those in ``skip``.
+
+        An element p already holds is no read, so ``skip`` may name all
+        that p drops before the next step: only the ones it did not hold
+        before the step are skipped, and their drops find nothing held.
+        """
+        out_of, home, holders, held = self.out_of, self.home, self.holders, self.held[p]
         mem = self._net(~p)
-        blk = None
+        at = blk = None
+        twice = 0
         for e in elems:
+            if e in held or e in skip:
+                continue
             o = out_of(e)
             if o is None:
                 continue
-            h = holder.get(e)
-            if h is None:
-                holder[e] = p
-            elif h == p:
-                continue
-            else:
-                more = extra.get(e)
-                if more is None:
-                    extra[e] = [p]
-                elif p in more:
-                    continue
-                else:
-                    more.append(p)
-            if home.get(e) == addr:
-                # the rating leaves its home; re-reading an element whose
-                # rating is elsewhere is a copy and only adds memory
-                home[e] = ~addr
-                if blk is None:
-                    blk = self._net(addr)
-                blk[o] = blk.get(o, 0) - 1
+            held.add(e)
+            n = holders.get(e, 0)
+            holders[e] = n + 1
+            if n == 1:
+                twice += 1
+            elif not n:
+                a = home.get(e)
+                if a is not None:
+                    # the first holder takes the rating off its home block
+                    if a != at:
+                        at, blk = a, self._net(a)
+                    blk[o] = blk.get(o, 0) - 1
             mem[o] = mem.get(o, 0) + 1
+        self.twice += twice
 
     def write(self, addr: int, elems: tuple, old: tuple) -> None:
-        out_of, home = self.out_of, self.home
-        away = ~addr
+        # the writer holds every element it outputs, so a rated element
+        # written here is held: it moves home without moving its rating
+        home, holders = self.home, self.holders
         if old:
             fresh = set(elems)
+            blk = None
             for e in old:
-                if e in fresh:
-                    continue
-                hm = home.get(e)
-                if hm == addr:
+                if home.get(e) == addr and e not in fresh:
                     del home[e]
-                    o = out_of(e)
-                    blk = self._net(addr)
-                    blk[o] = blk.get(o, 0) - 1
-                elif hm == away:
-                    del home[e]
+                    if e not in holders:
+                        if blk is None:
+                            blk = self._net(addr)
+                        o = self.out_of(e)
+                        blk[o] = blk.get(o, 0) - 1
         for e in elems:
-            hm = home.get(e)
-            if hm is None:
-                if out_of(e) is not None:
-                    home[e] = away
-            elif hm < 0:
-                home[e] = away
-            elif hm != addr:
-                # a stale resting rating moves along with the rewrite
-                o = out_of(e)
-                blk = self._net(hm)
-                blk[o] = blk.get(o, 0) - 1
-                home[e] = away
+            if e in holders:
+                home[e] = addr
 
     def drop(self, p: int, elems: Iterable[Element]) -> None:
-        out_of, home, holder, extra = self.out_of, self.home, self.holder, self.extra
+        out_of, home, holders, held = self.out_of, self.home, self.holders, self.held[p]
         mem = self._net(~p)
-        rest_at = blk = None
+        at = blk = None
+        twice = 0
         for e in elems:
+            if e not in held:
+                continue
+            held.remove(e)
             o = out_of(e)
-            if o is None:
-                continue
-            h = holder.get(e)
-            if h is None:
-                continue
-            more = extra.get(e)
-            if h == p:
-                if more is None:
-                    del holder[e]
-                else:
-                    holder[e] = more.pop()
-                    if not more:
-                        del extra[e]
-            elif more is not None and p in more:
-                more.remove(p)
-                if not more:
-                    del extra[e]
+            n = holders[e] - 1
+            if n:
+                holders[e] = n
+                if n == 1:
+                    twice -= 1
             else:
-                continue
-            mem[o] = mem.get(o, 0) - 1
-            if more is None:
-                # the last holder let go: the rating rests at home again
-                hm = home.get(e)
-                if hm is not None and hm < 0:
-                    home[e] = ~hm
-                    if hm != rest_at:
-                        rest_at, blk = hm, self._net(~hm)
+                del holders[e]
+                a = home.get(e)
+                if a is not None:
+                    # the last holder let go: the rating rests at home again
+                    if a != at:
+                        at, blk = a, self._net(a)
                     blk[o] = blk.get(o, 0) + 1
+            mem[o] = mem.get(o, 0) - 1
+        self.twice += twice
 
-    def free(self, bucket: Iterable[tuple], skip: dict[int, set]) -> None:
-        """Drops and computes, minus the drops ``skip`` pairs with reads."""
+    def free(self, bucket: Iterable[tuple]) -> None:
+        """Drops and computes; produced elements have no home yet."""
         for rec in bucket:
-            p, gone = rec[1], rec[2]
-            cancelled = skip.get(p)
-            if not cancelled:
-                self.drop(p, gone)
-            elif not cancelled.issuperset(gone):
-                self.drop(p, filterfalse(cancelled.__contains__, gone))
-            if rec[0] == "C" and rec[3]:
-                # produced elements have no home yet; they enter rated
-                # memory only if they map to an output block
-                mem = self._net(~p)
-                for e in rec[3]:
-                    o = self.out_of(e)
-                    if o is not None:
-                        self.holder[e] = p
-                        mem[o] = mem.get(o, 0) + 1
-
-    def cancelled_reads(self, reads: dict[int, int], bucket: Iterable[tuple],
-                        ext: dict[int, tuple]) -> dict[int, set]:
-        """Per reader of a step, the elements whose read its next drop undoes.
-
-        The conditions are those in ``check_potential_deltas``.  Must run
-        before the step's reads are applied: "held before the step" reads
-        the holders as they are now.
-        """
-        dropped: dict[int, set] = {}
-        for rec in bucket:
-            p = rec[1]
-            if p in reads:
-                if p in dropped:
-                    dropped[p].update(rec[2])
-                else:
-                    dropped[p] = set(rec[2])
-        holder = self.holder
-        shared = None
-        skip: dict[int, set] = {}
-        for p, gone in dropped.items():
-            cand = gone.intersection(ext.get(reads[p], ()))
-            if not cand:
-                continue
-            if not holder.keys().isdisjoint(cand):
-                cand = {e for e in cand if e not in holder}
-            if shared is None:
-                shared = set()
-                seen: set = set()
-                for a in set(reads.values()):
-                    block = ext.get(a, ())
-                    shared.update(seen.intersection(block))
-                    seen.update(block)
-            if shared:
-                cand -= shared
-            if cand:
-                skip[p] = cand
-        return skip
+            self.drop(rec[1], rec[2])
+            if rec[0] == "C":
+                self.read(rec[1], rec[3])
 
     def settle(self) -> float:
         """Apply the step's count changes; returns the change of phi."""
@@ -537,19 +460,15 @@ def check_potential_deltas(trace: IOTrace,
     first step fold into the first delta, so the deltas telescope to
     phi_final - phi_initial.
 
-    A read that processor p undoes by dropping the element before the
-    next step is skipped together with that drop: the pair cannot move
-    phi between two boundaries.  The skip does not apply when anyone (p
-    included) held the element before the step, or when another
-    processor reads it from a different block in that step.  A write of
-    the element's home block in the same step needs no exception: it
-    takes the element's resting rating away with or without the read.
+    Phi depends only on the state at a boundary, so an element that a
+    reader inputs, did not hold before and drops before the next step is
+    skipped, read and drop alike.
 
     Traces in which an element ends up held by two processors at a step
     boundary carry copies; the bound does not apply to them and the
     report says so.
     """
-    replay = _Replay(output_block_of, max(M, B) + 1)
+    replay = _Replay(output_block_of, P, max(M, B) + 1)
     ext: dict[int, tuple] = {}
     H = 0
     for addr, elems in initial_image.items():
@@ -561,25 +480,25 @@ def check_potential_deltas(trace: IOTrace,
     deltas: list[float] = []
     violations: list[int] = []
     copies = False
-    replay.free(trace.free_ops.get(0, ()), {})
+    replay.free(trace.free_ops.get(0, ()))
     phi = phi0
     for t, records in enumerate(trace.steps):
         reads = {p: rec[1] for p, rec in enumerate(records)
                  if rec is not None and rec[0] == "I"}
         bucket = trace.free_ops.get(t + 1, ())
-        skip = replay.cancelled_reads(reads, bucket, ext) if reads and bucket else {}
+        gone: dict[int, set] = {}
+        for rec in bucket:
+            if rec[1] in reads:
+                gone.setdefault(rec[1], set()).update(rec[2])
         for p, addr in reads.items():
-            block = ext.get(addr, ())
-            cancelled = skip.get(p)
-            replay.read(p, addr, filterfalse(cancelled.__contains__, block)
-                        if cancelled else block)
+            replay.read(p, ext.get(addr, ()), gone.get(p, ()))
         for rec in records:
             if rec is not None and rec[0] == "O":
                 addr, elems = rec[1], rec[2]
                 replay.write(addr, elems, ext.get(addr, ()))
                 ext[addr] = elems
-        replay.free(bucket, skip)
-        if replay.extra:
+        replay.free(bucket)
+        if replay.twice:
             copies = True
         delta = replay.settle()
         deltas.append(delta)

@@ -159,10 +159,11 @@ class Region:
 class Machine:
     """One PEM instance: external memory image, internal memories, trace.
 
-    The machine keeps no potential bookkeeping of its own.  Where an
-    element's rating rests is read off ``initial_image`` and ``trace``
-    by the replay in ``cost_model``, so the trace is the one record of a
-    run.  A machine is confined to a single thread; independent machines may
+    The machine keeps no potential bookkeeping of its own.  Which
+    memories hold an element and which block last received it, the state
+    that rates it, are read off ``initial_image`` and ``trace`` by the
+    replay in ``cost_model``, so the trace is the one record of a run.
+    A machine is confined to a single thread; independent machines may
     run concurrently.
     """
 

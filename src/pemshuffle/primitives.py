@@ -231,7 +231,7 @@ def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
                             out_blk += 1
                             buffer = []
                 pos += 1
-            machine.discard(vp, [e for e in block if machine.holds(vp, e)])
+            machine.discard(vp, block)
         if buffer:
             yield Output(scratch[vp] + out_blk, buffer)
             machine.discard(vp, buffer)
@@ -303,7 +303,7 @@ def contract(machine: Machine, region: Region) -> Region:
         for bi in range(lo, hi):
             block = yield Input(region.addr(bi))
             counts[p] += len(block)
-            machine.discard(p, [e for e in block if machine.holds(p, e)])
+            machine.discard(p, block)
 
     run_lockstep(machine, [count_script(p) if p * piece < mblocks else None
                            for p in range(P)])

@@ -280,10 +280,10 @@ class TestPotential:
         assert phi() == pytest.approx(f(2))
         m.discard(0, b)
         assert phi() == pytest.approx(f(2))
-        # block 1 still holds b, but b's ratings rest at block 0: until
-        # the drop, the copies read back count in memory as well
+        # block 1 still holds b, but block 0 received it last: read back
+        # from block 1, b counts in memory only
         m.parallel_step([Input(1)])
-        assert phi() == pytest.approx(2 * f(2))
+        assert phi() == pytest.approx(f(2))
         m.discard(0, b)
         assert phi() == pytest.approx(f(2))
 

@@ -1,9 +1,9 @@
-"""The step-batched potential replay against the per-event reference.
+"""The step-batched potential replay against the potential's definition.
 
-``phi_reference`` keeps the tracker that bumped phi on every read, write
-and drop.  ``cost_model.check_potential_deltas`` samples phi at step
-boundaries only and skips reads that the reader drops again before the
-next step; both must report the same per-step deltas and verdicts.
+``phi_reference`` sums phi afresh from the state at every step boundary.
+``cost_model.check_potential_deltas`` tracks count changes and skips
+reads that the reader drops again before the next step; both must report
+the same per-step deltas and verdicts.
 """
 
 import random
@@ -55,14 +55,28 @@ def run_pipeline(name, N_M, N_R, H, P, M, B):
     return m, out_of
 
 
-@pytest.mark.parametrize("name", ["direct_shuffle", "complete_sort",
-                                  "unordered_nonparallel", "sorted_nonparallel"])
+TRANSPOSITIONS = ["direct_shuffle", "complete_sort",
+                  "unordered_nonparallel", "sorted_nonparallel"]
+
+
+@pytest.mark.parametrize("name", TRANSPOSITIONS)
+@pytest.mark.parametrize("point", [(64, 16, 256, 4, 32, 4),
+                                   (64, 16, 256, 8, 12, 4)],
+                         ids=["h256", "m3b"])
+def test_transposition_pipelines_match_the_definition(name, point):
+    rep = assert_same_replay(*run_pipeline(name, *point))
+    assert rep.ok()
+
+
+@pytest.mark.parametrize("name", TRANSPOSITIONS)
 @pytest.mark.parametrize("point", [(256, 64, 1024, 4, 64, 8),
                                    (128, 32, 1024, 8, 24, 4)],
                          ids=["band", "tight"])
 def test_transposition_pipelines(name, point):
-    rep = assert_same_replay(*run_pipeline(name, *point))
-    assert rep.ok()
+    m, out_of = run_pipeline(name, *point)
+    cfg = m.config
+    assert cm.check_potential_deltas(m.trace, m.initial_image, out_of,
+                                     cfg.P, cfg.M, cfg.B).ok()
 
 
 # -- hand-built P=2 CREW traces ---------------------------------------------------
@@ -146,9 +160,9 @@ def test_drop_of_a_read_while_another_processor_keeps_a_stale_copy():
     m.parallel_step([IDLE, Output(2, stale)])
     m.discard(1, stale)
     rep = assert_same_replay(m, out.get)
-    # p0's read takes the resting rating; p1 still holds a copy, so
-    # p0's drop cannot put it back
-    assert rep.deltas == pytest.approx([0.0, 0.0, 2.0, -2.0, 0.0])
+    # a and b count in p1's memory from step 2 on, wherever else they
+    # are read or rest
+    assert rep.deltas == pytest.approx([0.0] * 5)
 
 
 def test_one_element_read_from_two_blocks_in_one_step():
