@@ -27,6 +27,7 @@ from .machine import (
     SimulationError,
     ceil_div,
     create_machine,
+    each_share,
     exchange,
     run_lockstep,
 )
@@ -114,15 +115,6 @@ def _require_block_parallelism(H: int, config: MachineConfig) -> None:
     if H < config.P * config.B:
         raise SimulationError(
             f"H/P >= B required (H={H}, P={config.P}, B={config.B})")
-
-
-def _each_share(machine: Machine, n: int, script: Callable) -> None:
-    """Run ``script(p, lo, hi)`` in lockstep over even shares [lo, hi) of
-    n items; processors whose share is empty stay idle."""
-    P = machine.config.P
-    share = ceil_div(n, P)
-    run_lockstep(machine, [script(p, p * share, min(n, (p + 1) * share))
-                           if p * share < n else None for p in range(P)])
 
 
 def _split_blocks(counts: Sequence[int], P: int, B: int) -> list[list[tuple[int, int, int]]]:
@@ -386,7 +378,7 @@ def _sort_to_runs(machine: Machine, region: Region, H: int, R: int,
     fanin = _effective_fanin(cfg, d)
     target_local = max(1, R // cfg.P)
     sinks: list[list[Run]] = [[] for _ in range(cfg.P)]
-    _each_share(machine, region.blocks, lambda p, lo, hi: _formation_and_local_merge(
+    each_share(machine, region.blocks, lambda p, lo, hi: _formation_and_local_merge(
         machine, region, lo, hi, p, target_local, fanin, sinks[p]))
     all_runs = [r for sink in sinks for r in sink]
     return parallel_merge_to_R(machine, all_runs, R, d, validate=False)
@@ -462,13 +454,12 @@ def prepare_sorted_map(machine: Machine, region: Region,
             or not _columns_beat_sorting(cfg, H, columns, R, fanin)):
         return _sort_to_runs(machine, region, H, R, d)
 
-    assignment = range_bounded_load_balance(
+    spans = range_bounded_load_balance(
         machine, region, H, instance.N_M, lambda e: e.key[1])
     target_local = max(1, R // cfg.P)
     sinks: list[list[Run]] = [[] for _ in range(cfg.P)]
     scripts = []
-    for p in range(cfg.P):
-        span = assignment.span_of(p)
+    for p, span in enumerate(spans):
         if span.count == 0:
             scripts.append(None)
             continue
@@ -524,15 +515,15 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
                     counts[p] += len(task.emission(j))
             machine.discard(p, block)
 
-    _each_share(machine, vec_region.blocks, discover)
+    each_share(machine, vec_region.blocks, discover)
     prefix_sum(machine, counts, lambda a, b: a + b)
 
     # Meta-column formation: emit row-sorted pairs into block-aligned
     # slices per processor so writes never collide.
+    mc_cols = [(mc * cols_per_mc + 1, min(task.N_M, (mc + 1) * cols_per_mc))
+               for mc in range(n_mc)]
     mc_pairs: list[list] = []
-    for mc in range(n_mc):
-        col_lo = mc * cols_per_mc + 1
-        col_hi = min(task.N_M, (mc + 1) * cols_per_mc)
+    for col_lo, col_hi in mc_cols:
         pairs = []
         for j in range(col_lo, col_hi + 1):
             pairs.extend(task.emission(j))
@@ -545,8 +536,7 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
 
     def emit_script(p: int):
         for mc, blo, bhi in tasks_by_proc[p]:
-            col_lo = mc * cols_per_mc + 1
-            col_hi = min(task.N_M, (mc + 1) * cols_per_mc)
+            col_lo, col_hi = mc_cols[mc]
             ent_lo = (col_lo - 1) * task.v
             ent_hi = col_hi * task.v
             held: set[Element] = set()
@@ -626,16 +616,6 @@ def tile_table(machine: Machine, meta: MetaRunSet) -> list[Tile]:
     return tiles
 
 
-def tile_destinations(tiles: Sequence[Tile], B: int) -> dict[int, int]:
-    """Ceiled output start block per tile, tiles taken in (row, run) order."""
-    dest: dict[int, int] = {}
-    blk = 0
-    for ti in sorted(range(len(tiles)), key=lambda t: (tiles[t].row, tiles[t].run)):
-        dest[ti] = blk
-        blk += ceil_div(tiles[ti].size, B)
-    return dest
-
-
 def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
     """Rearrange tiles into a fully row-major region.
 
@@ -675,15 +655,15 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
                     yield Output(s_table + ti, (entry,))
                     machine.discard(p, (entry,))
 
-    _each_share(machine, H, scan_script)
+    each_share(machine, H, scan_script)
 
-    # Size phase: tile sizes from S (entry plus successor), local block
+    # Size phase: tile extents from S (entry plus successor), local block
     # tallies in row-major order, then a prefix sum fixes each
     # processor's first destination; phase three writes table D.
     sigma = sorted(range(T), key=lambda ti: (tiles[ti].row, tiles[ti].run))
     d_table = machine.alloc(T)
     local_blocks = [0] * P
-    sizes_seen: list[dict[int, int]] = [dict() for _ in range(P)]
+    extent: dict[int, tuple[int, int]] = {}   # tile -> (start, size) read off S
 
     def size_script(p: int, lo: int, hi: int):
         for rank in range(lo, hi):
@@ -697,51 +677,46 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
                 machine.discard(p, (succ,))
             else:
                 size = H - start
-            sizes_seen[p][ti] = size
+            extent[ti] = (start, size)
             local_blocks[p] += ceil_div(size, B)
 
-    _each_share(machine, T, size_script)
+    each_share(machine, T, size_script)
     ends = prefix_sum(machine, local_blocks, lambda a, b: a + b)
-    block_starts = [e - c for e, c in zip(ends, local_blocks)]
+    dest: dict[int, int] = {}   # tile -> first staging block, as written to D
 
     def dest_script(p: int, lo: int, hi: int):
-        blk = block_starts[p]
+        blk = ends[p] - local_blocks[p]
         for rank in range(lo, hi):
             ti = sigma[rank]
             entry = machine.create(p, ("D", ti), blk)
             yield Output(d_table + ti, (entry,))
             machine.discard(p, (entry,))
-            blk += ceil_div(sizes_seen[p][ti], B)
+            dest[ti] = blk
+            blk += ceil_div(extent[ti][1], B)
 
-    _each_share(machine, T, dest_script)
+    each_share(machine, T, dest_script)
 
     # Write phase: every staging block belongs to exactly one tile, so
     # ownership is conflict-free; a block's elements sit in at most two
-    # source blocks of its meta-run.
-    dests = tile_destinations(tiles, B)
-    total_out_blocks = sum(ceil_div(t.size, B) for t in tiles)
-    staging = Region(machine.alloc(total_out_blocks), total_out_blocks,
-                     total_out_blocks * B)
-    out_blocks: list[tuple[int, int]] = []
-    for ti in sorted(range(T), key=lambda t: dests[t]):
-        for q in range(ceil_div(tiles[ti].size, B)):
-            out_blocks.append((ti, q))
+    # source blocks of its meta-run.  Destinations grow along sigma.
+    staging = Region(machine.alloc(ends[-1]), ends[-1], ends[-1] * B)
+    out_blocks = [(ti, q) for ti in sigma for q in range(ceil_div(extent[ti][1], B))]
 
     def write_script(p: int, lo: int, hi: int):
         for ob in range(lo, hi):
             ti, q = out_blocks[ob]
-            t = tiles[ti]
-            g_lo = t.start + q * B
-            g_hi = min(t.start + t.size, g_lo + B)
+            start, size = extent[ti]
+            g_lo = start + q * B
+            g_hi = min(start + size, g_lo + B)
             picked: list[Element] = []
             pick_set: set[Element] = set()
             for ri, addr, base, win_lo, win_hi in _span_blocks(runs, g_lo, g_hi, B):
                 picked.extend((yield from _read_window(
                     machine, p, addr, base, win_lo, win_hi, pick_set)))
-            yield Output(staging.addr(dests[ti] + q), picked)
+            yield Output(staging.addr(dest[ti] + q), picked)
             machine.discard(p, picked)
 
-    _each_share(machine, len(out_blocks), write_script)
+    each_share(machine, len(out_blocks), write_script)
 
     return contract(machine, staging)
 
@@ -756,8 +731,7 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet,
     are then merged with combining down to one run and expanded into an
     N_R x w grid (identity-filled where no triple contributed).
     """
-    cfg = machine.config
-    P, B = cfg.P, cfg.B
+    B = machine.config.B
     runs = [r for r in meta.runs if r.count > 0]
     H = sum(r.count for r in runs)
     grid = machine.alloc_region(N_R * w)
@@ -765,73 +739,50 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet,
         return _fill_grid(machine, grid, None, identity, N_R, w)
     offsets = [0, *itertools.accumulate(r.count for r in runs)]
 
-    share = ceil_div(H, P)
-    elems_cache = {ri: run_elements(machine, run) for ri, run in enumerate(runs)}
-    frag_region: dict[tuple[int, int], Region] = {}
-    frag_counts: dict[tuple[int, int], int] = {}
-    for p in range(P):
-        lo, hi = p * share, min(H, (p + 1) * share)
-        for ri in range(len(runs)):
-            s = max(lo, offsets[ri])
-            e = min(hi, offsets[ri + 1])
-            if s < e:
-                frag = elems_cache[ri][s - offsets[ri]: e - offsets[ri]]
-                distinct = len({(x.key[0], x.payload.l) for x in frag})
-                frag_region[(p, ri)] = machine.alloc_region(distinct)
-                frag_counts[(p, ri)] = distinct
+    frags: dict[tuple[int, int], Run] = {}   # (meta-run, processor) -> partials
 
     def reduce_script(p: int, lo: int, hi: int):
-        state = {"frag": None, "row": None, "blk": 0}
         row_acc: dict[int, object] = {}
         outbuf: list[Element] = []
 
         def emit_row():
+            nonlocal blk
             for l in sorted(row_acc):
-                e = machine.create(p, (state["row"], l), row_acc[l])
-                outbuf.append(e)
+                outbuf.append(machine.create(p, (row, l), row_acc[l]))
                 if len(outbuf) == B:
-                    yield Output(frag_region[(p, state["frag"])].addr(state["blk"]),
-                                 list(outbuf))
-                    machine.discard(p, list(outbuf))
-                    state["blk"] += 1
+                    yield Output(frag.addr(blk), outbuf)
+                    machine.discard(p, outbuf)
+                    blk += 1
                     outbuf.clear()
             row_acc.clear()
 
-        def close_frag():
+        for ri, windows in itertools.groupby(_span_blocks(runs, lo, hi, B),
+                                             key=lambda win: win[0]):
+            # a fragment holds at most one partial per element of the share
+            frag = machine.alloc_region(min(hi, offsets[ri + 1]) - max(lo, offsets[ri]))
+            blk, row = 0, None
+            for _, addr, base, win_lo, win_hi in windows:
+                for e in (yield from _read_window(machine, p, addr, base,
+                                                  win_lo, win_hi, set())):
+                    if e.key[0] != row:
+                        yield from emit_row()
+                        row = e.key[0]
+                    dest = e.payload.l
+                    row_acc[dest] = (reduce_op(row_acc[dest], e.payload.value)
+                                     if dest in row_acc else e.payload.value)
+                    machine.discard(p, (e,))
             yield from emit_row()
+            frags[(ri, p)] = Run(frag, 0, blk * B + len(outbuf))
             if outbuf:
-                yield Output(frag_region[(p, state["frag"])].addr(state["blk"]),
-                             list(outbuf))
-                machine.discard(p, list(outbuf))
+                yield Output(frag.addr(blk), outbuf)
+                machine.discard(p, outbuf)
                 outbuf.clear()
-            state["blk"] = 0
 
-        for ri, addr, base, win_lo, win_hi in _span_blocks(runs, lo, hi, B):
-            kept = yield from _read_window(machine, p, addr, base, win_lo, win_hi, set())
-            for e in kept:
-                if state["frag"] != ri:
-                    if state["frag"] is not None:
-                        yield from close_frag()
-                    state["frag"] = ri
-                    state["row"] = None
-                row = e.key[0]
-                dest = e.payload.l
-                if state["row"] is not None and row != state["row"]:
-                    yield from emit_row()
-                state["row"] = row
-                row_acc[dest] = (reduce_op(row_acc[dest], e.payload.value)
-                                 if dest in row_acc else e.payload.value)
-                machine.discard(p, (e,))
-        if state["frag"] is not None:
-            yield from close_frag()
-
-    _each_share(machine, H, reduce_script)
+    each_share(machine, H, reduce_script)
 
     # Partial-result segments ordered by (meta-run, position) keep the
     # fold order equal to the original sequence order per key.
-    segments = [Run(frag_region[(p, ri)], 0, frag_counts[(p, ri)])
-                for ri in range(len(runs)) for p in range(P)
-                if (p, ri) in frag_region]
+    segments = [frags[k] for k in sorted(frags)]
     merged = parallel_merge_to_R(machine, segments, 1,
                                  combine=reduce_op, validate=False)
     final = merged.runs[0] if merged.runs else None
@@ -872,7 +823,7 @@ def _fill_grid(machine: Machine, grid: Region, final: Run | None,
             yield Output(grid.addr(bi), cells)
             machine.discard(p, cells)
 
-    _each_share(machine, grid.blocks, fill_script)
+    each_share(machine, grid.blocks, fill_script)
     return grid
 
 
@@ -927,7 +878,7 @@ def direct_shuffle(machine: Machine, region: Region, instance: ShuffleInstance,
             yield Output(out.addr(bi), cells)
             machine.discard(p, cells)
 
-    _each_share(machine, out.blocks, script)
+    each_share(machine, out.blocks, script)
     return out
 
 
@@ -952,7 +903,7 @@ def _sorted_scan(machine: Machine, region: Region) -> bool:
             machine.discard(p, block)
         lasts[p] = prev
 
-    _each_share(machine, region.blocks, scan)
+    each_share(machine, region.blocks, scan)
     ok = all(local_ok)
     active = [p for p in range(P) if firsts[p] is not None]
     if len(active) > 1:

@@ -421,6 +421,15 @@ def run_lockstep(machine: Machine, scripts: Sequence) -> None:
         inbound = {p: results[p] for p in live}
 
 
+def each_share(machine: Machine, n: int, script: Callable) -> None:
+    """Run ``script(p, lo, hi)`` in lockstep over even shares [lo, hi) of
+    n items; processors whose share is empty stay idle."""
+    P = machine.config.P
+    share = ceil_div(n, P)
+    run_lockstep(machine, [script(p, p * share, min(n, (p + 1) * share))
+                           if p * share < n else None for p in range(P)])
+
+
 def act(machine: Machine, actions: dict[int, Action]) -> list:
     """One parallel I/O of the given per-processor actions; every
     processor not named stays idle.  Returns ``parallel_step``'s result."""

@@ -21,6 +21,7 @@ from .machine import (
     SimulationError,
     act,
     ceil_div,
+    each_share,
     exchange,
     run_lockstep,
 )
@@ -154,32 +155,18 @@ class Span:
         return self.start + self.count
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Per-processor spans partitioning a key-sorted region.
-
-    Every span holds at most ceil(2n/P) tuples and covers at most
-    ceil(2m/P) consecutive keys.
-    """
-
-    spans: tuple[Span, ...]
-    n: int
-    m: int
-
-    def span_of(self, p: int) -> Span:
-        return self.spans[p]
-
-
 def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
-                               key_of: Callable[[Element], int]) -> Assignment:
-    """Split a key-sorted region into per-processor spans.
+                               key_of: Callable[[Element], int]) -> tuple[Span, ...]:
+    """Split a key-sorted region into one span per processor.
 
     ``key_of`` must map elements to integers in 1..m, non-decreasing
     over the region.  Half the processors scan volume pieces of
     ceil(2n/P) tuples recording where key ranges of width ceil(2m/P)
     begin; the recorded start positions are distributed to the range
     processors through their inboxes.  Cutting at both kinds of
-    boundary yields at most P spans bounded in volume and key width.
+    boundary yields at most P non-empty spans, each holding at most
+    ceil(2n/P) tuples and covering at most ceil(2m/P) consecutive keys;
+    the rest of the P spans are empty.
     """
     P = machine.config.P
     B = machine.config.B
@@ -195,7 +182,7 @@ def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
         if a > b:
             raise SimulationError("load balancing requires key-sorted input")
     if P == 1:
-        return Assignment((Span(0, 0, n, keys[0], keys[-1]),), n, m)
+        return (Span(0, 0, n, keys[0], keys[-1]),)
 
     volume_procs = ceil_div(P, 2)
     piece = ceil_div(n, volume_procs)
@@ -254,27 +241,12 @@ def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
         for rp in fetch:
             machine.discard(rp, results[rp])
 
-    cuts = {0}
-    for vp in range(volume_procs):
-        if vp * piece < n:
-            cuts.add(vp * piece)
-    cuts.update(range_starts.values())
-    ordered = sorted(cuts)
-    spans: list[tuple[int, int]] = []
-    for i, start in enumerate(ordered):
-        end = ordered[i + 1] if i + 1 < len(ordered) else n
-        if end > start:
-            spans.append((start, end))
-    if len(spans) > P:
-        raise SimulationError(f"load balancing produced {len(spans)} > P spans")
-    full = []
-    for p in range(P):
-        if p < len(spans):
-            s, e = spans[p]
-            full.append(Span(p, s, e - s, keys[s], keys[e - 1]))
-        else:
-            full.append(Span(p, n, 0, 0, -1))
-    return Assignment(tuple(full), n, m)
+    cuts = sorted({*range(0, n, piece), *range_starts.values()})
+    if len(cuts) > P:
+        raise SimulationError(f"load balancing produced {len(cuts)} > P spans")
+    spans = [Span(p, s, e - s, keys[s], keys[e - 1])
+             for p, (s, e) in enumerate(zip(cuts, cuts[1:] + [n]))]
+    return tuple(spans) + tuple(Span(p, n, 0, 0, -1) for p in range(len(cuts), P))
 
 
 # -- contraction ------------------------------------------------------------
@@ -283,30 +255,27 @@ def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
 def contract(machine: Machine, region: Region) -> Region:
     """Remove empty cells: pack the region's elements densely, in order.
 
-    Processors take contiguous pieces of the input blocks in ascending
-    order, count their elements, learn their output offsets through a
-    prefix sum, and stream their cells to the packed output.  An output
-    block fed by several processors is finalised by the lowest-indexed
-    contributor; the others hand their cells over through its inbox, so
-    each processor joins at most two hand-offs.
+    Processors take even shares of the input blocks in ascending order,
+    count their elements, learn their output offsets through a prefix
+    sum, and stream their cells to the packed output.  An output block
+    belongs to the processor whose range holds its first cell.  A block
+    fed by several processors is finalised by its owner; the others hand
+    their cells over through its inbox, one sender per owner and round,
+    so each processor sends at most two hand-offs.
     """
     P = machine.config.P
     B = machine.config.B
     mblocks = region.blocks
-    piece = ceil_div(mblocks, P) if mblocks else 1
 
     counts = [0] * P
 
-    def count_script(p: int):
-        lo = p * piece
-        hi = min(mblocks, lo + piece)
+    def count_script(p: int, lo: int, hi: int):
         for bi in range(lo, hi):
             block = yield Input(region.addr(bi))
             counts[p] += len(block)
             machine.discard(p, block)
 
-    run_lockstep(machine, [count_script(p) if p * piece < mblocks else None
-                           for p in range(P)])
+    each_share(machine, mblocks, count_script)
 
     ends = prefix_sum(machine, counts, lambda a, b: a + b)
     starts = [e - c for e, c in zip(ends, counts)]
@@ -315,37 +284,27 @@ def contract(machine: Machine, region: Region) -> Region:
     if total == 0:
         return Region(out.start, 0, 0)
 
-    nblocks_out = ceil_div(total, B)
-    owner_of = {}
-    for b in range(nblocks_out):
-        pos = b * B
-        for p in range(P):
-            if counts[p] and starts[p] <= pos < ends[p]:
-                owner_of[b] = p
-                break
-
-    def block_span(b: int) -> tuple[int, int]:
-        return b * B, min((b + 1) * B, total)
-
+    owner_of = {b: p for p in range(P)
+                for b in range(ceil_div(starts[p], B), ceil_div(ends[p], B))}
     pieces: dict[int, dict[int, list[Element]]] = {}
 
-    def stream_script(p: int):
-        lo_blk = p * piece
-        hi_blk = min(mblocks, lo_blk + piece)
+    def stream_script(p: int, lo: int, hi: int):
+        if not counts[p]:
+            return
         pos = starts[p]
         outbuf: list[Element] = []
-        for bi in range(lo_blk, hi_blk):
+        for bi in range(lo, hi):
             block = yield Input(region.addr(bi))
             pending = list(block)
             while pending:
                 blk = pos // B
-                blk_lo, blk_hi = block_span(blk)
+                blk_hi = min((blk + 1) * B, total)
                 take = min(blk_hi - pos, len(pending))
                 outbuf.extend(pending[:take])
                 pending = pending[take:]
                 pos += take
                 if pos == blk_hi:
-                    if owner_of[blk] == p and starts[p] <= blk_lo:
+                    if owner_of[blk] == p:
                         yield Output(out.addr(blk), outbuf)
                         machine.discard(p, outbuf)
                     else:
@@ -355,37 +314,32 @@ def contract(machine: Machine, region: Region) -> Region:
             # range ends mid-block: hand the cells over to the block owner
             pieces.setdefault((pos - 1) // B, {})[p] = outbuf
 
-    run_lockstep(machine, [stream_script(p) if counts[p] else None
-                           for p in range(P)])
+    each_share(machine, mblocks, stream_script)
 
     # Hand-off rounds: rank r senders of every shared block write their
     # cells to the owner's inbox, the owners read and keep them.
     shared = sorted(pieces)
     senders_of = {blk: [q for q in sorted(pieces[blk]) if q != owner_of[blk]]
                   for blk in shared}
-    collected = {blk: {owner_of[blk]: pieces[blk].get(owner_of[blk], [])}
-                 for blk in shared}
     max_rank = max((len(s) for s in senders_of.values()), default=0)
     for rank in range(max_rank):
         expecting = [(blk, senders_of[blk][rank]) for blk in shared
                      if rank < len(senders_of[blk])]
-        results = exchange(machine, [(q, owner_of[blk], pieces[blk][q])
-                                     for blk, q in expecting])
+        exchange(machine, [(q, owner_of[blk], pieces[blk][q]) for blk, q in expecting])
         for blk, q in expecting:
-            owner = owner_of[blk]
-            collected[blk][q] = list(results[owner])
             machine.discard(q, pieces[blk][q])
 
-    remaining = list(shared)
-    while remaining:
-        writes: dict[int, tuple[int, list[Element]]] = {}
-        for blk in remaining:
-            if owner_of[blk] not in writes:
-                writes[owner_of[blk]] = (blk, [e for q in sorted(collected[blk])
-                                               for e in collected[blk][q]])
-        act(machine, {owner: Output(out.addr(blk), cells)
-                      for owner, (blk, cells) in writes.items()})
-        for owner, (blk, cells) in writes.items():
-            machine.discard(owner, cells)
-            remaining.remove(blk)
+    # An owner's range ends in the one shared block it owns, so every
+    # shared block is written in a single step.
+    writes: dict[int, Output] = {}
+    for blk in shared:
+        owner = owner_of[blk]
+        if owner in writes:
+            raise SimulationError(f"processor {owner} owns two shared blocks")
+        writes[owner] = Output(out.addr(blk), [e for q in sorted(pieces[blk])
+                                               for e in pieces[blk][q]])
+    if writes:
+        act(machine, writes)
+    for owner, write in writes.items():
+        machine.discard(owner, write.elements)
     return out

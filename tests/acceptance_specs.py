@@ -3,15 +3,19 @@
 Run ``python3 tests/acceptance_specs.py`` to regenerate the frozen
 calibration constants in tests/data/calibration.json after an
 intentional algorithm change, and ``python3 tests/acceptance_specs.py
---golden`` to refreeze the exact per-row I/O counts in
-tests/data/golden_io.json, the whole BAND+TIGHT sweep CSV in
-tests/data/golden_sweep.csv, the bound catalog of grids/small.cfg in
-tests/data/golden_bounds.csv and the SKIP_SPEC sweep CSV in
-tests/data/golden_skips.csv.  A pure speed-up or refactor must leave
-all of them untouched; ``--check`` recomputes them in memory, writes
-nothing, names what moved and exits 1 if anything did.
+--golden`` to refreeze the whole BAND+TIGHT sweep CSV in
+tests/data/golden_sweep.csv, whose ``measured_io`` column holds every
+row's exact I/O count, the bound catalog of grids/small.cfg in
+tests/data/golden_bounds.csv, the SKIP_SPEC sweep CSV in
+tests/data/golden_skips.csv and the grids/small.cfg sweep under EREW,
+failed rows and their reasons included, in tests/data/golden_erew.csv.
+A pure speed-up or refactor must leave all of them untouched;
+``--check`` recomputes them in memory, writes nothing, names every row
+whose I/O count moved and exits 1 if any file differs.
 """
 
+import csv
+import io
 import json
 import os
 import sys
@@ -61,14 +65,14 @@ SKIP_SPEC = ExperimentSpec(
 
 CALIBRATION_PATH = os.path.join(os.path.dirname(__file__), "data",
                                 "calibration.json")
-GOLDEN_IO_PATH = os.path.join(os.path.dirname(__file__), "data",
-                              "golden_io.json")
 GOLDEN_SWEEP_PATH = os.path.join(os.path.dirname(__file__), "data",
                                  "golden_sweep.csv")
 GOLDEN_BOUNDS_PATH = os.path.join(os.path.dirname(__file__), "data",
                                   "golden_bounds.csv")
 GOLDEN_SKIPS_PATH = os.path.join(os.path.dirname(__file__), "data",
                                  "golden_skips.csv")
+GOLDEN_EREW_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                "golden_erew.csv")
 SMALL_GRID_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                                "grids", "small.cfg")
 
@@ -99,37 +103,44 @@ def row_id(row: dict) -> str:
     return f"{row['algorithm']} seed={row['seed']} {grid}"
 
 
-def golden_io(rows: list[dict]) -> dict[str, int | None]:
-    return {row_id(r): r["measured_io"] for r in rows}
+def golden_io(sweep_csv: str) -> dict[str, str]:
+    """The ``measured_io`` column of a sweep CSV's text, by row name."""
+    return {row_id(r): r["measured_io"]
+            for r in csv.DictReader(io.StringIO(sweep_csv))}
 
 
 def small_bounds_catalog() -> str:
     return bounds_catalog(load_spec(SMALL_GRID_PATH))
 
 
-def golden_texts() -> tuple[dict, dict[str, str]]:
-    """The per-row I/O counts and the text of every golden file, by path."""
-    report = combined_report()
-    golden = golden_io(report.rows)
-    io_text = json.dumps(golden, indent=1, sort_keys=True) + "\n"
-    return golden, {GOLDEN_IO_PATH: io_text,
-                    GOLDEN_SWEEP_PATH: report.to_csv(),
-                    GOLDEN_BOUNDS_PATH: small_bounds_catalog(),
-                    GOLDEN_SKIPS_PATH: run_sweep(SKIP_SPEC).to_csv()}
+def small_erew_sweep() -> str:
+    """The grids/small.cfg sweep CSV under the EREW policy."""
+    spec = load_spec(SMALL_GRID_PATH)
+    spec.policy = "erew"
+    return run_sweep(spec).to_csv()
 
 
-def regenerate_golden() -> dict:
-    golden, texts = golden_texts()
+def golden_texts() -> dict[str, str]:
+    """The text of every golden file, by path."""
+    return {GOLDEN_SWEEP_PATH: combined_report().to_csv(),
+            GOLDEN_BOUNDS_PATH: small_bounds_catalog(),
+            GOLDEN_SKIPS_PATH: run_sweep(SKIP_SPEC).to_csv(),
+            GOLDEN_EREW_PATH: small_erew_sweep()}
+
+
+def regenerate_golden() -> dict[str, str]:
+    texts = golden_texts()
     for path, text in texts.items():
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    return golden
+    return golden_io(texts[GOLDEN_SWEEP_PATH])
 
 
 def check_golden() -> int:
     """Compare the recomputed golden files with the frozen ones; 1 if any differ."""
-    golden, texts = golden_texts()
-    frozen = frozen_golden_io()
+    texts = golden_texts()
+    golden = golden_io(texts[GOLDEN_SWEEP_PATH])
+    frozen = golden_io(frozen_text(GOLDEN_SWEEP_PATH))
     for k in sorted(frozen.keys() | golden.keys()):
         if frozen.get(k) != golden.get(k):
             print(f"moved: {k}: {frozen.get(k)} -> {golden.get(k)}")
@@ -140,11 +151,6 @@ def check_golden() -> int:
     return 1 if differ else 0
 
 
-def frozen_golden_io() -> dict:
-    with open(GOLDEN_IO_PATH, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def frozen_text(path: str) -> str:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
@@ -152,7 +158,7 @@ def frozen_text(path: str) -> str:
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--golden"]:
-        print(f"{len(regenerate_golden())} rows frozen in {GOLDEN_IO_PATH}")
+        print(f"{len(regenerate_golden())} rows frozen in {GOLDEN_SWEEP_PATH}")
     elif sys.argv[1:] == ["--check"]:
         sys.exit(check_golden())
     else:

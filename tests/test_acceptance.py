@@ -324,9 +324,10 @@ def test_criterion_7_bsp_star_round_trip():
 
 
 def test_golden_io_counts(combined_rows):
-    """Every acceptance row repeats the I/O count frozen in golden_io.json."""
-    golden = specs.frozen_golden_io()
-    got = specs.golden_io(combined_rows)
+    """Every acceptance row repeats the I/O count frozen in the
+    measured_io column of golden_sweep.csv."""
+    golden = specs.golden_io(specs.frozen_text(specs.GOLDEN_SWEEP_PATH))
+    got = specs.golden_io(Report(combined_rows).to_csv())
     moved = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
     assert not moved, f"{len(moved)} rows changed measured_io, e.g. {moved[:3]}"
 
@@ -334,7 +335,6 @@ def test_golden_io_counts(combined_rows):
 def test_golden_report(combined_rows):
     """The BAND+TIGHT sweep CSV and the small-grid bound catalog repeat
     golden_sweep.csv and golden_bounds.csv byte for byte."""
-    from pemshuffle.harness import Report
     assert Report(combined_rows).to_csv() == specs.frozen_text(specs.GOLDEN_SWEEP_PATH)
     assert specs.small_bounds_catalog() == specs.frozen_text(specs.GOLDEN_BOUNDS_PATH)
 
@@ -344,6 +344,12 @@ def test_golden_skips():
     repeats golden_skips.csv byte for byte."""
     got = run_sweep(specs.SKIP_SPEC).to_csv()
     assert got == specs.frozen_text(specs.GOLDEN_SKIPS_PATH)
+
+
+def test_golden_erew():
+    """The grids/small.cfg sweep under EREW, failed rows and their reasons
+    included, repeats golden_erew.csv byte for byte."""
+    assert specs.small_erew_sweep() == specs.frozen_text(specs.GOLDEN_EREW_PATH)
 
 
 def test_criterion_8_determinism(band_report):

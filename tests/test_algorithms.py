@@ -22,7 +22,6 @@ from pemshuffle.algorithms import (
     prepare_sorted_map,
     prepare_unordered_map,
     run_elements,
-    tile_destinations,
     tile_table,
 )
 from pemshuffle.machine import (
@@ -293,16 +292,14 @@ class TestFinalizeNonparallel:
         # current order: (run1: row1 size2, row3 size1), (run2: row1, row2 size2, row4)
         assert [(t.run, t.row, t.size) for t in tiles] == \
             [(0, 1, 2), (0, 3, 1), (1, 1, 1), (1, 2, 2), (1, 4, 1)]
-        dests = tile_destinations(tiles, B=2)
-        # row-major tile order: (1,r0) (1,r1) (2,r1) (3,r0) (4,r1)
-        assert dests[0] == 0   # row 1 of run 0 -> block 0
-        assert dests[2] == 1   # row 1 of run 1 -> block 1
-        assert dests[3] == 2   # row 2 of run 1
-        assert dests[1] == 3   # row 3 of run 0
-        assert dests[4] == 4   # row 4 of run 1
         out = finalize_nonparallel_reduce(m, meta)
         got = [(t.i, t.j) for t in region_payloads(m, out)]
         assert got == sorted(got)
+        # table D: each tile's first staging block, ceiled sizes summed in
+        # row-major tile order (1,r0) (1,r1) (2,r1) (3,r0) (4,r1)
+        dests = {e.key[1]: e.payload for block in m.external_image().values()
+                 for e in block if e.key[0] == "D"}
+        assert dests == {0: 0, 2: 1, 3: 2, 1: 3, 4: 4}
 
     def test_oracle_equality_random_instances(self):
         rng = random.Random(99)

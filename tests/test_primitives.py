@@ -170,12 +170,12 @@ class TestLoadBalance:
         keys = sorted([1 + i % 8 for i in range(16)])
         blocks, region = region_of(keys, 2, key=lambda i, v: (v,))
         m = fresh(4, 8, 2, blocks=blocks)
-        asn = range_bounded_load_balance(m, region, 16, 8, lambda e: e.key[0])
-        for span in asn.spans:
+        spans = range_bounded_load_balance(m, region, 16, 8, lambda e: e.key[0])
+        for span in spans:
             assert span.count <= math.ceil(2 * 16 / 4)
             if span.count:
                 assert span.key_hi - span.key_lo + 1 <= math.ceil(2 * 8 / 4)
-        covered = sorted((s.start, s.end) for s in asn.spans if s.count)
+        covered = sorted((s.start, s.end) for s in spans if s.count)
         assert covered[0][0] == 0 and covered[-1][1] == 16
         for (a, b), (c, d) in zip(covered, covered[1:]):
             assert b == c
@@ -184,8 +184,8 @@ class TestLoadBalance:
         keys = [1, 1, 2, 3]
         blocks, region = region_of(keys, 2, key=lambda i, v: (v,))
         m = fresh(1, 6, 2, blocks=blocks)
-        asn = range_bounded_load_balance(m, region, 4, 3, lambda e: e.key[0])
-        assert asn.spans[0].count == 4
+        spans = range_bounded_load_balance(m, region, 4, 3, lambda e: e.key[0])
+        assert spans[0].count == 4
         assert m.io_count == 0
 
     def test_skewed_multiplicities(self):
@@ -193,9 +193,9 @@ class TestLoadBalance:
         keys = sorted(rng.choice([1, 1, 1, 2, 15, 16]) for _ in range(64))
         blocks, region = region_of(keys, 4, key=lambda i, v: (v,))
         m = fresh(4, 12, 4, blocks=blocks)
-        asn = range_bounded_load_balance(m, region, 64, 16, lambda e: e.key[0])
+        spans = range_bounded_load_balance(m, region, 64, 16, lambda e: e.key[0])
         seen = 0
-        for span in asn.spans:
+        for span in spans:
             assert span.count <= math.ceil(2 * 64 / 4)
             if span.count:
                 assert span.key_hi - span.key_lo + 1 <= math.ceil(2 * 16 / 4)
@@ -253,6 +253,18 @@ class TestContract:
         before = m.peek(100)
         contract(m, region)
         assert m.peek(100) == before
+
+    def test_every_processor_feeds_one_block(self):
+        # eight one-cell blocks pack into one output block: its owner, the
+        # processor holding cell 0, takes seven hand-offs of two I/Os each
+        m = fresh(8, 24, 8)
+        region = make_sparse_region(m, [[v] for v in range(8)], 8)
+        before = m.io_count
+        out = contract(m, region)
+        assert [e.payload for e in m.region_elements(out)] == list(range(8))
+        m.assert_memories_empty()
+        # count 1 + prefix sum 6 + stream 1 + hand-offs 14 + final write 1
+        assert m.io_count - before == 23
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=12),
