@@ -6,6 +6,9 @@ lower bounds cover the combined matrix-vector product for the three
 layouts, matrix creation from vectors, the transposition potential
 argument and their combinations.  Logarithms are base 2 wherever a
 base is unstated; log_d is a ratio of base-2 logs.
+
+The togetherness potential is rated by one tracker, a machine observer
+fed either live by a running machine or from a recorded ``IOTrace``.
 """
 
 from __future__ import annotations
@@ -264,16 +267,20 @@ def potential(machine: Machine,
     last received it, for as long as that block still holds it.
     Elements without an output block (bookkeeping values) are ignored.
     The value is ``phi_final`` of ``check_potential_deltas`` replaying
-    the machine's trace.
+    the trace the machine records, so its observer must be an
+    ``IOTrace`` attached before the first operation.
     """
+    trace = machine.observer
+    if not isinstance(trace, IOTrace):
+        raise ValueError("potential() needs a machine that records an IOTrace")
     cfg = machine.config
-    return check_potential_deltas(machine.trace, machine.initial_image,
+    return check_potential_deltas(trace, machine.initial_image,
                                   output_block_of, cfg.P, cfg.M, cfg.B).phi_final
 
 
 @dataclass
 class PotentialReport:
-    """Per-step potential increases of a replayed trace."""
+    """Per-step potential increases of a run, tracked live or replayed."""
 
     deltas: list[float]
     bound: float
@@ -297,7 +304,7 @@ def _xlog2x(n: int) -> list[float]:
 
 
 class _Replay:
-    """Potential ratings of a replayed trace, settled once per step.
+    """Potential ratings of a run's events, settled once per step.
 
     Ratings are counts per (container, output block), a container being
     a block address a >= 0 or processor p as ~p.  ``held[p]`` holds the
@@ -447,66 +454,113 @@ class _Replay:
         return delta
 
 
-def check_potential_deltas(trace: IOTrace,
-                           initial_image: dict[int, tuple],
-                           output_block_of: Callable[[Element], int | None],
-                           P: int, M: int, B: int) -> PotentialReport:
-    """Replay a trace and bound every parallel step's potential increase.
+class PotentialTracker:
+    """Machine observer that bounds every parallel step's potential increase.
 
     The per-step bound is P*B*log2(2e) + P*B*log2(min(M, H/P)/B) with H
     the number of tracked elements.  Phi is sampled at step boundaries,
     where the lemma reads it: after the step's inputs, its outputs and
-    the free operations up to the next step.  Free operations before the
-    first step fold into the first delta, so the deltas telescope to
-    phi_final - phi_initial.
+    the free operations up to the next step.  So the tracker buffers one
+    step, the blocks its readers input, its outputs and the free
+    operations that follow, and settles it when the next step comes or
+    at ``report``.  Free operations before the first step fold into the
+    first delta, so the deltas telescope to phi_final - phi_initial.
 
     Phi depends only on the state at a boundary, so an element that a
     reader inputs, did not hold before and drops before the next step is
     skipped, read and drop alike.
 
-    Traces in which an element ends up held by two processors at a step
+    Runs in which an element ends up held by two processors at a step
     boundary carry copies; the bound does not apply to them and the
     report says so.
     """
-    replay = _Replay(output_block_of, P, max(M, B) + 1)
-    ext: dict[int, tuple] = {}
-    H = 0
-    for addr, elems in initial_image.items():
-        ext[addr] = tuple(elems)
-        H += replay.place(addr, ext[addr])
-    bound = P * B * math.log2(2 * math.e) + P * B * math.log2(min(M, max(H / P, B)) / B)
-    phi0 = replay.settle()
 
-    deltas: list[float] = []
-    violations: list[int] = []
-    copies = False
-    replay.free(trace.free_ops.get(0, ()))
-    phi = phi0
-    for t, records in enumerate(trace.steps):
-        reads = {p: rec[1] for p, rec in enumerate(records)
-                 if rec is not None and rec[0] == "I"}
-        bucket = trace.free_ops.get(t + 1, ())
+    def __init__(self, initial_image: dict[int, tuple],
+                 output_block_of: Callable[[Element], int | None],
+                 P: int, M: int, B: int):
+        self._replay = replay = _Replay(output_block_of, P, max(M, B) + 1)
+        H = sum(replay.place(addr, elems) for addr, elems in initial_image.items())
+        self.bound = (P * B * math.log2(2 * math.e)
+                      + P * B * math.log2(min(M, max(H / P, B)) / B))
+        self.phi_initial = self.phi = replay.settle()
+        self.deltas: list[float] = []
+        self.violations: list[int] = []
+        self.copies = False
+        self._step: tuple[list, list] | None = None
+        self._free: list[tuple] = []
+
+    # -- observer events -------------------------------------------------
+
+    def step(self, reads: list[tuple], writes: list[tuple]) -> None:
+        if self._step is not None:
+            self._settle()
+        self._step = (reads, writes)
+
+    def drop(self, p: int, elems: tuple) -> None:
+        if self._step is None:
+            self._replay.drop(p, elems)
+        else:
+            self._free.append(("D", p, elems))
+
+    def compute(self, p: int, consumed: tuple, produced: tuple) -> None:
+        rec = ("C", p, consumed, produced)
+        if self._step is None:
+            self._replay.free((rec,))
+        else:
+            self._free.append(rec)
+
+    # -- step boundaries -------------------------------------------------
+
+    def _settle(self) -> None:
+        replay, bucket = self._replay, self._free
+        reads, writes = self._step
         gone: dict[int, set] = {}
-        for rec in bucket:
-            if rec[1] in reads:
-                gone.setdefault(rec[1], set()).update(rec[2])
-        for p, addr in reads.items():
-            replay.read(p, ext.get(addr, ()), gone.get(p, ()))
-        for rec in records:
-            if rec is not None and rec[0] == "O":
-                addr, elems = rec[1], rec[2]
-                replay.write(addr, elems, ext.get(addr, ()))
-                ext[addr] = elems
+        if reads:
+            readers = {p for p, _, _ in reads}
+            for rec in bucket:
+                if rec[1] in readers:
+                    gone.setdefault(rec[1], set()).update(rec[2])
+        for p, _, block in reads:
+            replay.read(p, block, gone.get(p, ()))
+        for _, addr, elems, old in writes:
+            replay.write(addr, elems, old)
         replay.free(bucket)
         if replay.twice:
-            copies = True
+            self.copies = True
         delta = replay.settle()
-        deltas.append(delta)
-        phi += delta
-        if delta > bound + 1e-9:
-            violations.append(t)
-    phi += replay.settle()      # free operations of a trace with no step
-    return PotentialReport(deltas, bound, phi0, phi,
-                           applicable=not copies,
-                           reason="trace copies elements" if copies else "",
-                           violations=violations)
+        if delta > self.bound + 1e-9:
+            self.violations.append(len(self.deltas))
+        self.deltas.append(delta)
+        self.phi += delta
+        self._step, self._free = None, []
+
+    def report(self) -> PotentialReport:
+        """Settle the last step and report the run; call once it is over."""
+        if self._step is not None:
+            self._settle()
+        self.phi += self._replay.settle()   # free operations of a run with no step
+        return PotentialReport(self.deltas, self.bound, self.phi_initial, self.phi,
+                               applicable=not self.copies,
+                               reason="trace copies elements" if self.copies else "",
+                               violations=self.violations)
+
+
+def track_potential(machine: Machine,
+                    output_block_of: Callable[[Element], int | None]) -> PotentialTracker:
+    """Attach a ``PotentialTracker`` to a machine that has run no operation."""
+    cfg = machine.config
+    if machine.io_count or any(machine.held_count(p) for p in range(cfg.P)):
+        raise ValueError("track_potential() needs a machine that has run no operation")
+    tracker = machine.observer = PotentialTracker(
+        machine.initial_image, output_block_of, cfg.P, cfg.M, cfg.B)
+    return tracker
+
+
+def check_potential_deltas(trace: IOTrace,
+                           initial_image: dict[int, tuple],
+                           output_block_of: Callable[[Element], int | None],
+                           P: int, M: int, B: int) -> PotentialReport:
+    """Feed a recorded trace through a ``PotentialTracker`` and report it."""
+    tracker = PotentialTracker(initial_image, output_block_of, P, M, B)
+    trace.feed(tracker, initial_image)
+    return tracker.report()

@@ -196,10 +196,11 @@ def _run_shuffle_pipeline(pipe: Pipeline, point: dict[str, int], seed: int,
     else:
         run_inst = make_map_task(inst, vectors if pipe.parallel_reduce else None)
         machine, region = alg.machine_with_vectors(config, run_inst)
-    out_idx = {}
+    tracker = None
     if pipe.transposition:
         order = sorted(machine.region_elements(region), key=lambda e: e.key)
         out_idx = {e: r // B for r, e in enumerate(order)}
+        tracker = cm.track_potential(machine, out_idx.get)
     R = (alg.parallel_run_target(H, N_R, w, B) if pipe.parallel_reduce
          else alg.nonparallel_run_target(H, N_R, B))
     out = _MAP_STEP[pipe.cell[0]](machine, region, run_inst, R)
@@ -224,12 +225,10 @@ def _run_shuffle_pipeline(pipe: Pipeline, point: dict[str, int], seed: int,
     row["measured_io"] = machine.io_count
     row["correct"] = "pass" if ok else "fail"
 
-    if pipe.transposition:
-        rep = cm.check_potential_deltas(machine.trace, machine.initial_image,
-                                        out_idx.get, P, M, B)
-        row["potential"] = "pass" if rep.ok() else "fail"
-    else:
+    if tracker is None:
         row["potential"] = "na"
+    else:
+        row["potential"] = "pass" if tracker.report().ok() else "fail"
     return row
 
 

@@ -15,7 +15,7 @@ which makes every step atomic and the whole simulation deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Collection, Iterable, Sequence
 
 CREW = "crew"
 EREW = "erew"
@@ -118,12 +118,14 @@ Action = Input | Output | Idle | None
 
 
 class IOTrace:
-    """Per-step record of every processor's action.
+    """Machine observer that records every processor's action per step.
 
     ``steps[t]`` is a P-tuple of records: ("I", addr, n), ("O", addr,
-    elements) or None for idle.  Free operations (discard / compute)
-    are kept in ``free_ops`` buckets keyed by the number of steps
-    executed when they happened, so a trace can be replayed exactly.
+    elements) or None for idle.  Free operations are kept in
+    ``free_ops`` buckets keyed by the number of steps executed when they
+    happened: ("D", p, dropped) and ("C", p, consumed, produced).
+    Attached before a machine's first operation, the trace and the
+    machine's ``initial_image`` replay the run exactly.
     """
 
     __slots__ = ("P", "steps", "free_ops")
@@ -133,8 +135,47 @@ class IOTrace:
         self.steps: list[tuple] = []
         self.free_ops: dict[int, list[tuple]] = {}
 
-    def record_free(self, record: tuple) -> None:
-        self.free_ops.setdefault(len(self.steps), []).append(record)
+    def step(self, reads: list[tuple], writes: list[tuple]) -> None:
+        records: list = [None] * self.P
+        for p, addr, block in reads:
+            records[p] = ("I", addr, len(block))
+        for p, addr, elems, _old in writes:
+            records[p] = ("O", addr, elems)
+        self.steps.append(tuple(records))
+
+    def drop(self, p: int, elems: tuple) -> None:
+        self.free_ops.setdefault(len(self.steps), []).append(("D", p, elems))
+
+    def compute(self, p: int, consumed: tuple, produced: tuple) -> None:
+        self.free_ops.setdefault(len(self.steps), []).append(("C", p, consumed, produced))
+
+    def feed(self, observer, initial_image: dict[int, tuple]) -> None:
+        """Send the recorded run to another observer, event by event, as
+        the machine that started from ``initial_image`` sent it."""
+        ext = dict(initial_image)
+
+        def free(t: int) -> None:
+            for rec in self.free_ops.get(t, ()):
+                if rec[0] == "D":
+                    observer.drop(rec[1], rec[2])
+                else:
+                    observer.compute(rec[1], rec[2], rec[3])
+
+        free(0)
+        for t, records in enumerate(self.steps):
+            reads, writes = [], []
+            for p, rec in enumerate(records):
+                if rec is None:
+                    continue
+                block = ext.get(rec[1], ())
+                if rec[0] == "I":
+                    reads.append((p, rec[1], block))
+                else:
+                    writes.append((p, rec[1], rec[2], block))
+            observer.step(reads, writes)
+            for _, addr, elems, _ in writes:
+                ext[addr] = elems
+            free(t + 1)
 
 
 @dataclass(frozen=True)
@@ -157,19 +198,24 @@ class Region:
 
 
 class Machine:
-    """One PEM instance: external memory image, internal memories, trace.
+    """One PEM instance: external memory image, internal memories, I/O count.
 
-    The machine keeps no potential bookkeeping of its own.  Which
-    memories hold an element and which block last received it, the state
-    that rates it, are read off ``initial_image`` and ``trace`` by the
-    replay in ``cost_model``, so the trace is the one record of a run.
-    A machine is confined to a single thread; independent machines may
-    run concurrently.
+    The machine counts its parallel steps and records nothing else of a
+    run.  Element-level events go to ``observer``, at most one, when one
+    is attached: ``step(reads, writes)`` after every parallel I/O, with
+    reads as (p, addr, block) and writes as (p, addr, elements, the
+    block's old content); ``drop(p, elements)`` and ``compute(p,
+    consumed, produced)`` for the free operations.  ``IOTrace`` records
+    them; the potential tracker of ``cost_model`` rates them as they
+    come.  A machine is confined to a single thread; independent
+    machines may run concurrently.
     """
 
     def __init__(self, config: MachineConfig,
                  initial_contents: Iterable[tuple[int, Iterable]] = ()):
         self.config = config
+        self.observer = None
+        self.io_count = 0
         self._uid = 0
         self._ext: dict[int, tuple[Element, ...]] = {}
         self._mem: list[set[Element]] = [set() for _ in range(config.P)]
@@ -189,7 +235,6 @@ class Machine:
         for a in self.inboxes:
             self._ext[a] = ()
         self.initial_image = dict(self._ext)
-        self.trace = IOTrace(config.P)
 
     # -- construction helpers -------------------------------------------
 
@@ -233,77 +278,70 @@ class Machine:
         if len(actions) != cfg.P:
             raise ConfigurationError(
                 f"need exactly one action per processor ({cfg.P}), got {len(actions)}")
-        acts: list[Input | Output | None] = []
-        for a in actions:
-            acts.append(None if a is None or isinstance(a, Idle) else a)
-        if all(a is None for a in acts):
+        if all(a is None or isinstance(a, Idle) for a in actions):
             raise PolicyViolation("all-idle parallel step is not allowed")
 
-        in_addrs: list[int] = []
-        out_addrs: list[int] = []
-        for p, a in enumerate(acts):
+        ext, mems = self._ext, self._mem
+        reads: list[tuple[int, int]] = []
+        writes: list[tuple[int, Output]] = []
+        for p, a in enumerate(actions):
             if isinstance(a, Input):
-                if a.addr not in self._ext:
+                if a.addr not in ext:
                     raise MissingBlockError(
                         f"processor {p}: input of absent block {a.addr}")
-                in_addrs.append(a.addr)
+                reads.append((p, a.addr))
             elif isinstance(a, Output):
-                if len(a.elements) > cfg.B:
+                elems = a.elements
+                if len(elems) > cfg.B:
                     raise CapacityViolation(
-                        f"processor {p}: output of {len(a.elements)} > B={cfg.B} elements")
-                if len(set(a.elements)) != len(a.elements):
+                        f"processor {p}: output of {len(elems)} > B={cfg.B} elements")
+                if len(set(elems)) != len(elems):
                     raise ProvenanceViolation(f"processor {p}: duplicate element in output")
-                mem = self._mem[p]
-                for e in a.elements:
-                    if e not in mem:
-                        raise ProvenanceViolation(
-                            f"processor {p}: output of element not in internal memory")
-                out_addrs.append(a.addr)
+                if not mems[p].issuperset(elems):
+                    raise ProvenanceViolation(
+                        f"processor {p}: output of element not in internal memory")
+                writes.append((p, a))
+        out_addrs = [a.addr for _, a in writes]
         if len(set(out_addrs)) != len(out_addrs):
             raise PolicyViolation("two outputs to the same block in one step")
         if cfg.policy == EREW:
-            touched = in_addrs + out_addrs
+            touched = [addr for _, addr in reads] + out_addrs
             if len(set(touched)) != len(touched):
                 raise PolicyViolation("EREW: concurrent access to one block")
 
         # Capacity must hold after the inputs land, before any free ops.
-        for p, a in enumerate(acts):
-            if isinstance(a, Input):
-                mem = self._mem[p]
-                grow = sum(1 for e in self._ext[a.addr] if e not in mem)
-                if len(mem) + grow > cfg.M:
-                    raise CapacityViolation(
-                        f"processor {p}: internal memory would exceed M={cfg.M}")
+        for p, addr in reads:
+            mem, block = mems[p], ext[addr]
+            if len(mem) + len(block) - len(mem.intersection(block)) > cfg.M:
+                raise CapacityViolation(
+                    f"processor {p}: internal memory would exceed M={cfg.M}")
 
         results: list = [None] * cfg.P
-        records: list = [None] * cfg.P
-        for p, a in enumerate(acts):
-            if isinstance(a, Input):
-                block = self._ext[a.addr]
-                self._mem[p].update(block)
-                results[p] = block
-                records[p] = ("I", a.addr, len(block))
-        for p, a in enumerate(acts):
-            if isinstance(a, Output):
-                self._ext[a.addr] = a.elements
-                records[p] = ("O", a.addr, a.elements)
-        self.trace.steps.append(tuple(records))
+        for p, addr in reads:
+            block = ext[addr]
+            mems[p].update(block)
+            results[p] = block
+        observer = self.observer
+        if observer is not None:
+            observer.step([(p, addr, results[p]) for p, addr in reads],
+                          [(p, a.addr, a.elements, ext.get(a.addr, ()))
+                           for p, a in writes])
+        for _, a in writes:
+            ext[a.addr] = a.elements
+        self.io_count += 1
         return results
 
     # -- free operations --------------------------------------------------
 
-    def discard(self, p: int, elements: Iterable[Element]) -> None:
+    def discard(self, p: int, elements: Collection[Element]) -> None:
         """Drop elements from a processor's internal memory (no I/O)."""
-        elems = tuple(elements)
         mem = self._mem[p]
-        for e in elems:
-            if e not in mem:
-                raise ProvenanceViolation(
-                    f"processor {p}: discard of element not in internal memory")
-        for e in elems:
-            mem.discard(e)
-        if elems:
-            self.trace.record_free(("D", p, elems))
+        if not mem.issuperset(elements):
+            raise ProvenanceViolation(
+                f"processor {p}: discard of element not in internal memory")
+        mem.difference_update(elements)
+        if self.observer is not None and elements:
+            self.observer.drop(p, tuple(elements))
 
     def create(self, p: int, key, payload) -> Element:
         """Materialise one computation result in a processor's memory."""
@@ -312,7 +350,8 @@ class Machine:
             raise CapacityViolation(f"processor {p}: internal memory full")
         e = self._new_element(key, payload)
         mem.add(e)
-        self.trace.record_free(("C", p, (), (e,)))
+        if self.observer is not None:
+            self.observer.compute(p, (), (e,))
         return e
 
     def compute(self, p: int, transform: Callable[[list[Element]], Iterable]) -> list[Element]:
@@ -343,16 +382,13 @@ class Machine:
             raise CapacityViolation(
                 f"processor {p}: compute result exceeds M={self.config.M}")
         new_mem = set(out)
-        consumed = tuple(e for e in held if e not in new_mem)
         self._mem[p] = new_mem
-        self.trace.record_free(("C", p, consumed, tuple(produced)))
+        if self.observer is not None:
+            self.observer.compute(p, tuple(e for e in held if e not in new_mem),
+                                  tuple(produced))
         return out
 
     # -- zero-cost inspection ---------------------------------------------
-
-    @property
-    def io_count(self) -> int:
-        return len(self.trace.steps)
 
     def peek(self, addr: int) -> tuple[Element, ...]:
         return self._ext.get(addr, ())

@@ -153,7 +153,7 @@ def elementary_products(instance: ShuffleInstance, input_vectors: Sequence[Seque
     Shuffling the result and reducing by destination reproduces the
     combined matrix-vector product.
     """
-    triples = tuple(t._replace(value=mul(t.value, input_vectors[t.k - 1][t.j - 1]))
+    triples = tuple(Triple(t.i, t.j, mul(t.value, input_vectors[t.k - 1][t.j - 1]), t.k, t.l)
                     for t in instance.triples)
     return ShuffleInstance(instance.N_M, instance.N_R, instance.H, instance.v,
                            instance.w, instance.layout, triples, instance.seed)
@@ -219,7 +219,7 @@ def make_map_task(instance: ShuffleInstance,
                      for k in range(instance.v))
 
         def emission(j: int) -> list[Triple]:
-            return [t._replace(value=mul(t.value, input_vectors[t.k - 1][j - 1]))
+            return [Triple(t.i, t.j, mul(t.value, input_vectors[t.k - 1][j - 1]), t.k, t.l)
                     for t in by_col.get(j, ())]
 
     return MapTask(instance.N_M, instance.H, instance.v, emission, vals)

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import acceptance_specs as specs
+from observers import Tee
 from pemshuffle import cost_model as cm
 from pemshuffle.algorithms import (
     complete_sort,
@@ -28,6 +29,7 @@ from pemshuffle.harness import PIPELINES, Report, _log_term, run_point, run_swee
 from pemshuffle.machine import (
     EREW,
     Input,
+    IOTrace,
     Machine,
     MachineConfig,
     PolicyViolation,
@@ -214,13 +216,14 @@ def test_criterion_4_potential_lemma(band_report):
         assert H / N_M >= B and H % B == 0
         config = MachineConfig(P=2, M=8 * B, B=B)
         m, region = machine_with_instance(config, inst)
+        m.observer = IOTrace(config.P)
         order = sorted(m.region_elements(region), key=lambda e: e.key)
         mapping = {e: rank // B for rank, e in enumerate(order)}
         phi0 = cm.potential(m, mapping.get)
         if phi0 != 0.0:
             exact_ok = False
         out = complete_sort(m, region, inst)
-        rep = cm.check_potential_deltas(m.trace, m.initial_image, mapping.get,
+        rep = cm.check_potential_deltas(m.observer, m.initial_image, mapping.get,
                                         config.P, config.M, config.B)
         if not (rep.applicable and not rep.violations):
             exact_ok = False
@@ -377,22 +380,36 @@ def _trace_digest(trace) -> str:
 
 def test_trace_determinism(monkeypatch):
     """Two runs of every pipeline in one process leave identical traces."""
-    machines = []
-    init = Machine.__init__
+    traces = []
+    init, track = Machine.__init__, cm.track_potential
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        machines.append(self)
+        self.observer = IOTrace(self.config.P)
+        traces.append(self.observer)
+
+    def track_and_record(machine, output_block_of):
+        # a transposition row attaches its potential tracker; the trace
+        # keeps recording next to it
+        trace = machine.observer
+        tracker = track(machine, output_block_of)
+        machine.observer = Tee(trace, tracker)
+        return tracker
 
     monkeypatch.setattr(Machine, "__init__", recording_init)
+    monkeypatch.setattr(cm, "track_potential", track_and_record)
     point = dict(N_M=128, N_R=32, H=1024, v=1, w=1, P=8, M=24, B=4)
 
     def run():
-        machines.clear()
+        traces.clear()
         for name in PIPELINES:
-            assert run_point(name, point, 0)["status"] == "ok", name
-        assert len(machines) == len(PIPELINES)
-        return dict(zip(PIPELINES, (_trace_digest(m.trace) for m in machines)))
+            row = run_point(name, point, 0)
+            assert row["status"] == "ok", name
+            assert row["potential"] == ("pass" if PIPELINES[name].transposition
+                                        else "na"), name
+        assert len(traces) == len(PIPELINES)
+        assert all(trace.steps for trace in traces)
+        return dict(zip(PIPELINES, map(_trace_digest, traces)))
 
     first, second = run(), run()
     moved = [name for name in PIPELINES if first[name] != second[name]]

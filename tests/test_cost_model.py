@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pemshuffle import cost_model as cm
 from pemshuffle.algorithms import complete_sort, machine_with_instance
-from pemshuffle.machine import Input, MachineConfig, Output, create_machine
+from pemshuffle.machine import Input, IOTrace, MachineConfig, Output, create_machine
 from pemshuffle.workload import COLUMN_MAJOR, generate, oracle_shuffle
 
 
@@ -199,10 +199,16 @@ def block_of(mapping):
     return mapping.get
 
 
+def recording(machine):
+    """The machine with an IOTrace attached, as the potential replay needs."""
+    machine.observer = IOTrace(machine.config.P)
+    return machine
+
+
 class TestPotential:
     def test_uniform_block_rating(self):
-        m = create_machine(MachineConfig(P=1, M=12, B=4),
-                           [(0, [(i, i) for i in range(4)])])
+        m = recording(create_machine(MachineConfig(P=1, M=12, B=4),
+                                     [(0, [(i, i) for i in range(4)])]))
         mapping = {e: 0 for e in m.peek(0)}
         assert cm.potential(m, block_of(mapping)) == pytest.approx(4 * math.log2(4))
 
@@ -210,6 +216,7 @@ class TestPotential:
         inst = generate(8, 8, 64, regularity="both", layout=COLUMN_MAJOR, seed=1)
         cfg = MachineConfig(P=2, M=16, B=4)
         m, region = machine_with_instance(cfg, inst)
+        recording(m)
         order = sorted(m.region_elements(region), key=lambda e: e.key)
         mapping = {e: r // cfg.B for r, e in enumerate(order)}
         out = complete_sort(m, region, inst)
@@ -224,6 +231,7 @@ class TestPotential:
                             layout=COLUMN_MAJOR, seed=seed)
             cfg = MachineConfig(P=2, M=16, B=4)
             m, region = machine_with_instance(cfg, inst)
+            recording(m)
             order = sorted(m.region_elements(region), key=lambda e: e.key)
             mapping = {e: r // cfg.B for r, e in enumerate(order)}
             assert cm.potential(m, block_of(mapping)) == 0.0
@@ -232,6 +240,7 @@ class TestPotential:
         inst = generate(8, 8, 64, layout=COLUMN_MAJOR, seed=2)
         cfg = MachineConfig(P=2, M=16, B=4)
         m1, r1 = machine_with_instance(cfg, inst)
+        recording(m1)
         order = sorted(m1.region_elements(r1), key=lambda e: e.key)
         mapping1 = {e: r // cfg.B for r, e in enumerate(order)}
         phi1 = cm.potential(m1, block_of(mapping1))
@@ -240,7 +249,7 @@ class TestPotential:
         for bi in range(r1.blocks):
             chunk = [((t.i, t.j), t) for t in inst.triples[bi * 4:(bi + 1) * 4]]
             blocks.append((bi, list(reversed(chunk))))
-        m2 = create_machine(cfg, blocks)
+        m2 = recording(create_machine(cfg, blocks))
         order2 = sorted((e for a, blk in m2.external_image().items()
                          if a < 1 << 40 for e in blk), key=lambda e: e.key)
         mapping2 = {e: r // cfg.B for r, e in enumerate(order2)}
@@ -248,9 +257,9 @@ class TestPotential:
 
     def test_co_destined_elements_held_at_a_step_boundary(self):
         f = lambda x: x * math.log2(x)
-        m = create_machine(MachineConfig(P=1, M=12, B=4),
-                           [(0, [(i, i) for i in range(4)]),
-                            (1, [(10 + i, i) for i in range(4)])])
+        m = recording(create_machine(MachineConfig(P=1, M=12, B=4),
+                                     [(0, [(i, i) for i in range(4)]),
+                                      (1, [(10 + i, i) for i in range(4)])]))
         a, b = m.peek(0), m.peek(1)
         mapping = dict(zip(a + b, [0, 0, 0, 1, 1, 1, 2, 2]))
         phi = lambda: cm.potential(m, block_of(mapping))
@@ -266,9 +275,9 @@ class TestPotential:
 
     def test_block_overwritten_without_its_resting_elements(self):
         f = lambda x: x * math.log2(x)
-        m = create_machine(MachineConfig(P=1, M=12, B=4),
-                           [(0, [(i, i) for i in range(4)]),
-                            (1, [(10 + i, i) for i in range(2)])])
+        m = recording(create_machine(MachineConfig(P=1, M=12, B=4),
+                                     [(0, [(i, i) for i in range(4)]),
+                                      (1, [(10 + i, i) for i in range(2)])]))
         a, b = m.peek(0), m.peek(1)
         mapping = dict(zip(a + b, [0, 0, 0, 0, 1, 1]))
         phi = lambda: cm.potential(m, block_of(mapping))
@@ -288,31 +297,44 @@ class TestPotential:
         assert phi() == pytest.approx(f(2))
 
 
+class TestPotentialNeedsItsEvents:
+    def test_potential_of_a_machine_that_records_nothing(self):
+        m = create_machine(MachineConfig(P=1, M=12, B=4), [(0, [(1, 1)])])
+        with pytest.raises(ValueError, match="IOTrace"):
+            cm.potential(m, {}.get)
+
+    def test_tracker_attached_after_the_first_step(self):
+        m = create_machine(MachineConfig(P=1, M=12, B=4), [(0, [(1, 1)])])
+        m.parallel_step([Input(0)])
+        with pytest.raises(ValueError, match="no operation"):
+            cm.track_potential(m, {}.get)
+
+
 class TestPotentialDeltas:
     def test_output_only_step_never_increases(self):
-        m = create_machine(MachineConfig(P=2, M=12, B=4),
-                           [(0, [(i, i) for i in range(4)]),
-                            (1, [(i + 4, i) for i in range(4)])])
+        m = recording(create_machine(MachineConfig(P=2, M=12, B=4),
+                                     [(0, [(i, i) for i in range(4)]),
+                                      (1, [(i + 4, i) for i in range(4)])]))
         mapping = {e: 0 for e in m.peek(0)}
         mapping.update({e: 1 for e in m.peek(1)})
         r = m.parallel_step([Input(0), Input(1)])
         m.parallel_step([Output(10, r[0]), Output(11, r[1])])
         m.discard(0, r[0])
         m.discard(1, r[1])
-        rep = cm.check_potential_deltas(m.trace, m.initial_image,
+        rep = cm.check_potential_deltas(m.observer, m.initial_image,
                                         block_of(mapping), 2, 12, 4)
         assert rep.deltas[1] <= 1e-9
 
     def test_single_merging_input_delta(self):
         # y held elements plus x co-destined arrivals: f(x+y)-f(x)-f(y)
         x, y = 3, 2
-        m = create_machine(MachineConfig(P=1, M=12, B=4),
-                           [(0, [(i, i) for i in range(x)]),
-                            (1, [(10 + i, i) for i in range(y)])])
+        m = recording(create_machine(MachineConfig(P=1, M=12, B=4),
+                                     [(0, [(i, i) for i in range(x)]),
+                                      (1, [(10 + i, i) for i in range(y)])]))
         mapping = {e: 0 for e in list(m.peek(0)) + list(m.peek(1))}
         m.parallel_step([Input(1)])
         m.parallel_step([Input(0)])
-        rep = cm.check_potential_deltas(m.trace, m.initial_image,
+        rep = cm.check_potential_deltas(m.observer, m.initial_image,
                                         block_of(mapping), 1, 12, 4)
         f = lambda n: n * math.log2(n) if n else 0.0
         assert rep.deltas[1] == pytest.approx(f(x + y) - f(x) - f(y))
@@ -321,12 +343,13 @@ class TestPotentialDeltas:
         inst = generate(8, 8, 64, regularity="both", layout=COLUMN_MAJOR, seed=3)
         cfg = MachineConfig(P=2, M=16, B=4)
         m, region = machine_with_instance(cfg, inst)
+        recording(m)
         order = sorted(m.region_elements(region), key=lambda e: e.key)
         mapping = {e: r // cfg.B for r, e in enumerate(order)}
         phi0 = cm.potential(m, block_of(mapping))
         out = complete_sort(m, region, inst)
         assert [e.payload for e in m.region_elements(out)] == oracle_shuffle(inst)
-        rep = cm.check_potential_deltas(m.trace, m.initial_image,
+        rep = cm.check_potential_deltas(m.observer, m.initial_image,
                                         block_of(mapping), cfg.P, cfg.M, cfg.B)
         assert rep.applicable and not rep.violations
         assert rep.bound == pytest.approx(
@@ -338,9 +361,10 @@ class TestPotentialDeltas:
         inst = generate(16, 16, 128, layout="mixed_column", seed=4)
         cfg = MachineConfig(P=4, M=24, B=4)
         m, region = machine_with_instance(cfg, inst)
+        recording(m)
         order = sorted(m.region_elements(region), key=lambda e: e.key)
         mapping = {e: r // cfg.B for r, e in enumerate(order)}
         complete_sort(m, region, inst)
-        rep = cm.check_potential_deltas(m.trace, m.initial_image,
+        rep = cm.check_potential_deltas(m.observer, m.initial_image,
                                         block_of(mapping), cfg.P, cfg.M, cfg.B)
         assert rep.total_delta == pytest.approx(rep.phi_final - rep.phi_initial)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pemshuffle import cost_model as cm
 from pemshuffle import harness
 from pemshuffle.cli import main as cli_main
 from pemshuffle.harness import (
@@ -12,6 +13,7 @@ from pemshuffle.harness import (
     parse_spec_text,
     run_sweep,
 )
+from pemshuffle.machine import Machine
 
 SMALL_GRID = """
 # two-point grid
@@ -133,6 +135,43 @@ class TestSweep:
         point = {"N_M": 512, "N_R": 4, "H": 64, "v": 1, "w": 1, "P": 1, "M": 12, "B": 1}
         row = harness.run_point(algorithm, point, 0)
         assert (row["status"], row["correct"]) == ("ok", "pass")
+
+
+class TestObservers:
+    """A row attaches to its machine only what it reads: the potential
+    tracker on a transposition row, no observer on any other row."""
+
+    POINT = {"N_M": 32, "N_R": 16, "H": 128, "v": 2, "w": 2, "P": 4, "M": 24, "B": 4}
+
+    @pytest.fixture
+    def machines(self, monkeypatch):
+        built = []
+        init = Machine.__init__
+
+        def keeping_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Machine, "__init__", keeping_init)
+        return built
+
+    @pytest.mark.parametrize("algorithm", ["unordered_parallel", "sorted_parallel",
+                                           "parallel_map_parallel",
+                                           "parallel_map_nonparallel", "prim_gather",
+                                           "prim_scatter", "prim_prefix_sum"])
+    def test_other_rows_record_nothing(self, machines, algorithm):
+        row = harness.run_point(algorithm, self.POINT, 0)
+        assert (row["status"], row["correct"], row["potential"]) == ("ok", "pass", "na")
+        assert machines and all(m.observer is None for m in machines)
+
+    @pytest.mark.parametrize("algorithm", ["direct_shuffle", "complete_sort",
+                                           "unordered_nonparallel", "sorted_nonparallel"])
+    def test_transposition_rows_track_the_potential(self, machines, algorithm):
+        row = harness.run_point(algorithm, self.POINT, 0)
+        assert (row["status"], row["correct"], row["potential"]) == ("ok", "pass", "pass")
+        assert len(machines) == 1
+        assert isinstance(machines[0].observer, cm.PotentialTracker)
+        assert len(machines[0].observer.deltas) == row["measured_io"]
 
 
 class TestCalibrate:

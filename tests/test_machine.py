@@ -7,6 +7,7 @@ from pemshuffle.machine import (
     CapacityViolation,
     ConfigurationError,
     Input,
+    IOTrace,
     MachineConfig,
     MissingBlockError,
     Output,
@@ -174,6 +175,7 @@ class TestDeterminism:
     def run_once(self):
         m = simple(P=2, M=12, B=4,
                    blocks=[(0, [(3, "a"), (1, "b")]), (1, [(2, "c")])])
+        trace = m.observer = IOTrace(2)
         r = m.parallel_step([Input(0), Input(1)])
         m.parallel_step([Output(2, sorted(r[0], key=lambda e: e.key)),
                          Output(3, r[1])])
@@ -182,7 +184,7 @@ class TestDeterminism:
         image = {a: tuple(e.key for e in blk)
                  for a, blk in m.external_image().items()}
         steps = [tuple((rec[0], rec[1]) if rec else None for rec in s)
-                 for s in m.trace.steps]
+                 for s in trace.steps]
         return image, steps
 
     def test_identical_runs(self):
@@ -209,9 +211,10 @@ class TestBspStar:
 class TestRoundHelpers:
     def test_act_leaves_unnamed_processors_idle(self):
         m = simple(P=4, M=12, B=4, blocks=[(0, [(1, "x")])])
+        trace = m.observer = IOTrace(4)
         r = act(m, {2: Input(0)})
         assert m.io_count == 1
-        assert [rec is None for rec in m.trace.steps[0]] == [True, True, False, True]
+        assert [rec is None for rec in trace.steps[0]] == [True, True, False, True]
         assert r[2][0].key == 1 and r[0] is None
 
     def test_exchange_is_two_steps_returning_each_block(self):

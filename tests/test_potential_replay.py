@@ -1,9 +1,12 @@
-"""The step-batched potential replay against the potential's definition.
+"""The step-batched potential tracker against the potential's definition.
 
 ``phi_reference`` sums phi afresh from the state at every step boundary.
-``cost_model.check_potential_deltas`` tracks count changes and skips
-reads that the reader drops again before the next step; both must report
-the same per-step deltas and verdicts.
+``cost_model.check_potential_deltas`` feeds a recorded trace through the
+tracker, which tracks count changes and skips reads that the reader
+drops again before the next step; both must report the same per-step
+deltas and verdicts.  The tracker attached to the running machine sees
+the same events in the same order, so its report must equal the
+replay's exactly.
 """
 
 import random
@@ -11,17 +14,24 @@ import random
 import pytest
 
 import phi_reference
+from observers import Tee
 from pemshuffle import algorithms as alg
 from pemshuffle import cost_model as cm
-from pemshuffle.machine import IDLE, Input, MachineConfig, Output, create_machine
+from pemshuffle.machine import IDLE, Input, IOTrace, MachineConfig, Output, create_machine
 from pemshuffle.workload import COLUMN_MAJOR, MIXED_COLUMN, generate
 
 TOL = 1e-9
 
 
+def watch(machine, out_of):
+    """Record the machine's trace and track its potential online, side by side."""
+    machine.observer = Tee(IOTrace(machine.config.P), cm.track_potential(machine, out_of))
+
+
 def assert_same_replay(machine, out_of):
+    trace, tracker = machine.observer.observers
     cfg = machine.config
-    args = (machine.trace, machine.initial_image, out_of, cfg.P, cfg.M, cfg.B)
+    args = (trace, machine.initial_image, out_of, cfg.P, cfg.M, cfg.B)
     got = cm.check_potential_deltas(*args)
     want = phi_reference.check_potential_deltas(*args)
     assert len(got.deltas) == len(want.deltas)
@@ -31,6 +41,7 @@ def assert_same_replay(machine, out_of):
     assert got.bound == want.bound
     assert abs(got.phi_initial - want.phi_initial) <= TOL
     assert abs(got.phi_final - want.phi_final) <= TOL
+    assert tracker.report() == got
     return got
 
 
@@ -43,6 +54,7 @@ def run_pipeline(name, N_M, N_R, H, P, M, B):
     m, region = alg.machine_with_instance(MachineConfig(P=P, M=M, B=B), inst)
     order = sorted(m.region_elements(region), key=lambda e: e.key)
     out_of = {e: rank // B for rank, e in enumerate(order)}.get
+    watch(m, out_of)
     if name == "direct_shuffle":
         alg.direct_shuffle(m, region, inst)
     elif name == "complete_sort":
@@ -64,8 +76,9 @@ TRANSPOSITIONS = ["direct_shuffle", "complete_sort",
                                    (64, 16, 256, 8, 12, 4)],
                          ids=["h256", "m3b"])
 def test_transposition_pipelines_match_the_definition(name, point):
-    rep = assert_same_replay(*run_pipeline(name, *point))
-    assert rep.ok()
+    m, out_of = run_pipeline(name, *point)
+    rep = assert_same_replay(m, out_of)
+    assert rep.ok() and len(rep.deltas) == m.io_count
 
 
 @pytest.mark.parametrize("name", TRANSPOSITIONS)
@@ -74,9 +87,10 @@ def test_transposition_pipelines_match_the_definition(name, point):
                          ids=["band", "tight"])
 def test_transposition_pipelines(name, point):
     m, out_of = run_pipeline(name, *point)
+    trace, tracker = m.observer.observers
     cfg = m.config
-    assert cm.check_potential_deltas(m.trace, m.initial_image, out_of,
-                                     cfg.P, cfg.M, cfg.B).ok()
+    rep = cm.check_potential_deltas(trace, m.initial_image, out_of, cfg.P, cfg.M, cfg.B)
+    assert rep.ok() and tracker.report() == rep
 
 
 # -- hand-built P=2 CREW traces ---------------------------------------------------
@@ -88,6 +102,7 @@ def two_procs(*blocks):
                        [(a, [(k, None) for k, _ in blk]) for a, blk in enumerate(blocks)])
     out = {e: o for a, blk in enumerate(blocks)
            for e, (_, o) in zip(m.peek(a), blk)}
+    watch(m, out.get)
     return m, out
 
 
@@ -203,6 +218,7 @@ def random_trace(seed):
                         for a in range(nblocks)])
     out = {e: rng.randrange(3) if rng.random() < 0.9 else None
            for blk in m.initial_image.values() for e in blk}
+    watch(m, out.get)
     existing, addrs = set(range(nblocks)), range(nblocks + 2)
     for _ in range(rng.randint(3, 25)):
         actions, targets = [IDLE] * P, set()

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pemshuffle.machine import (
     IDLE,
+    IOTrace,
     MachineConfig,
     Output,
     Region,
@@ -90,9 +91,10 @@ class TestScatter:
 
     def test_inbox_fanout_writes_each_inbox_once(self):
         m = fresh(8, 24, 8, blocks=[(0, [(i, i) for i in range(8)])])
+        trace = m.observer = IOTrace(8)
         scatter(m, 0, list(range(8)), tree=True)
         writes = {}
-        for step in m.trace.steps:
+        for step in trace.steps:
             for rec in step:
                 if rec and rec[0] == "O":
                     writes[rec[1]] = writes.get(rec[1], 0) + 1
