@@ -22,7 +22,6 @@ from .machine import (
     Input,
     Machine,
     MachineConfig,
-    Output,
     Region,
     SimulationError,
     ceil_div,
@@ -30,6 +29,7 @@ from .machine import (
     each_share,
     exchange,
     run_lockstep,
+    write_out,
 )
 from .primitives import contract, prefix_sum, range_bounded_load_balance
 from .workload import (
@@ -117,26 +117,14 @@ def _require_block_parallelism(H: int, config: MachineConfig) -> None:
             f"H/P >= B required (H={H}, P={config.P}, B={config.B})")
 
 
-def _split_blocks(counts: Sequence[int], P: int, B: int) -> list[list[tuple[int, int, int]]]:
-    """Deal the blocks of regions holding ``counts`` elements over P processors.
-
-    Processor p gets (region index, first block, end block) pieces of one
-    consecutive, block-aligned share of all the blocks, so writes never
-    collide.
-    """
-    nbs = [ceil_div(c, B) for c in counts]
-    share = ceil_div(sum(nbs), P) or 1
-    tasks: list[list[tuple[int, int, int]]] = [[] for _ in range(P)]
-    flat = 0
+def _block_pieces(nbs: Sequence[int], lo: int, hi: int):
+    """The flat block range [lo, hi) over groups of ``nbs`` blocks laid
+    end to end, as (group, first block, end block) pieces."""
+    end = 0
     for gi, nb in enumerate(nbs):
-        bi = 0
-        while bi < nb:
-            proc = flat // share
-            take = min((proc + 1) * share - flat, nb - bi)
-            tasks[proc].append((gi, bi, bi + take))
-            bi += take
-            flat += take
-    return tasks
+        start, end = end, end + nb
+        if max(lo, start) < min(hi, end):
+            yield gi, max(lo, start) - start, min(hi, end) - start
 
 
 def _read_window(machine: Machine, p: int, addr: int, base: int, lo: int,
@@ -177,7 +165,6 @@ def _merge_task(machine: Machine, p: int, srcs: Sequence[tuple[Region, int, int]
     owned: set[Element] = set()
     outbuf: list[Element] = []
     out_w = 0
-    written = 0
     # (head key, source) of every source with buffered elements; the
     # source index breaks ties, exactly as a scan for the least pair would
     heap: list[tuple] = []
@@ -211,11 +198,9 @@ def _merge_task(machine: Machine, p: int, srcs: Sequence[tuple[Region, int, int]
             owned.add(merged)
         else:
             if len(outbuf) == B:
-                yield Output(out_addrs[out_w], outbuf)
-                machine.discard(p, outbuf)
+                yield from write_out(machine, p, out_addrs[out_w], outbuf)
                 owned.difference_update(outbuf)
                 out_w += 1
-                written += B
                 outbuf = []
             outbuf.append(e)
         if heads[s] < len(buffers[s]):
@@ -223,10 +208,9 @@ def _merge_task(machine: Machine, p: int, srcs: Sequence[tuple[Region, int, int]
         elif cursors[s] < srcs[s][2]:
             yield from refill(s)
     if outbuf:
-        yield Output(out_addrs[out_w], outbuf)
-        machine.discard(p, outbuf)
+        yield from write_out(machine, p, out_addrs[out_w], outbuf)
         owned.difference_update(outbuf)
-        written += len(outbuf)
+    written = out_w * B + len(outbuf)
     if written != out_count:
         raise SimulationError(f"merge wrote {written} elements, expected {out_count}")
 
@@ -265,15 +249,14 @@ def _merge_groups_parallel(machine: Machine, groups: Sequence[Sequence[Run]],
     (a concurrent read).  Split points and the matching source
     intervals are plan knowledge, charged zero I/Os.
     """
-    P = machine.config.P
     B = machine.config.B
     plans = [_block_cuts(machine, g, combine is not None, B) for g in groups]
     out_counts = [n for n, _ in plans]
     regions = [machine.alloc_region(c) for c in out_counts]
-    tasks_by_proc = _split_blocks(out_counts, P, B)
+    nbs = [ceil_div(c, B) for c in out_counts]
 
-    def script(p: int):
-        for gi, blo, bhi in tasks_by_proc[p]:
+    def script(p: int, lo: int, hi: int):
+        for gi, blo, bhi in _block_pieces(nbs, lo, hi):
             n, cuts = plans[gi]
             at_lo, at_hi = cuts[blo], cuts[bhi]
             srcs = [(r.region, r.lo + at_lo[s], r.lo + at_hi[s])
@@ -282,8 +265,7 @@ def _merge_groups_parallel(machine: Machine, groups: Sequence[Sequence[Run]],
             yield from _merge_task(machine, p, srcs, addrs,
                                    min(bhi * B, n) - blo * B, combine)
 
-    run_lockstep(machine, [script(p) if tasks_by_proc[p] else None
-                           for p in range(P)])
+    each_share(machine, sum(nbs), script)
     return [Run(regions[gi], 0, out_counts[gi]) for gi in range(len(groups))]
 
 
@@ -362,9 +344,7 @@ def _formation_and_local_merge(machine: Machine, region: Region, blk_lo: int,
         elems.sort(key=_key)
         out = machine.alloc_region(len(elems))
         for wi, ofs in enumerate(range(0, len(elems), B)):
-            chunk = elems[ofs:ofs + B]
-            yield Output(out.addr(wi), chunk)
-            machine.discard(p, chunk)
+            yield from write_out(machine, p, out.addr(wi), elems[ofs:ofs + B])
         runs.append(Run(out, 0, len(elems)))
         bi = hi
     yield from _local_merge_runs(machine, p, runs, target, fanin, sink)
@@ -460,9 +440,6 @@ def prepare_sorted_map(machine: Machine, region: Region,
     sinks: list[list[Run]] = [[] for _ in range(cfg.P)]
     scripts = []
     for p, span in enumerate(spans):
-        if span.count == 0:
-            scripts.append(None)
-            continue
         pieces = []
         for col in columns:
             lo = max(col.lo, span.start)
@@ -532,10 +509,10 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
     mc_regions = [machine.alloc_region(len(pairs)) if pairs else None
                   for pairs in mc_pairs]
 
-    tasks_by_proc = _split_blocks([len(pairs) for pairs in mc_pairs], cfg.P, B)
+    nbs = [ceil_div(len(pairs), B) for pairs in mc_pairs]
 
-    def emit_script(p: int):
-        for mc, blo, bhi in tasks_by_proc[p]:
+    def emit_script(p: int, lo: int, hi: int):
+        for mc, blo, bhi in _block_pieces(nbs, lo, hi):
             col_lo, col_hi = mc_cols[mc]
             ent_lo = (col_lo - 1) * task.v
             ent_hi = col_hi * task.v
@@ -547,12 +524,10 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
             for bi in range(blo, bhi):
                 chunk = pairs[bi * B: min((bi + 1) * B, len(pairs))]
                 created = [machine.create(p, (t.i, t.j), t) for t in chunk]
-                yield Output(mc_regions[mc].addr(bi), created)
-                machine.discard(p, created)
+                yield from write_out(machine, p, mc_regions[mc].addr(bi), created)
             machine.discard(p, sorted(held, key=lambda e: e.uid))
 
-    run_lockstep(machine, [emit_script(p) if tasks_by_proc[p] else None
-                           for p in range(cfg.P)])
+    each_share(machine, sum(nbs), emit_script)
 
     runs = [Run(mc_regions[mc], 0, len(pairs))
             for mc, pairs in enumerate(mc_pairs) if pairs]
@@ -590,7 +565,7 @@ def _copy_run(machine: Machine, run: Run) -> Region:
     out = machine.alloc_region(run.count)
     copy = _merge_task(machine, 0, [(run.region, run.lo, run.hi)],
                        list(out.addrs()), run.count)
-    run_lockstep(machine, [copy] + [None] * (machine.config.P - 1))
+    run_lockstep(machine, [copy])
     return out
 
 
@@ -652,8 +627,7 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
                 if win_lo <= pos < win_hi and pos in start_of_tile:
                     ti = start_of_tile[pos]
                     entry = machine.create(p, ("S", ti), pos)
-                    yield Output(s_table + ti, (entry,))
-                    machine.discard(p, (entry,))
+                    yield from write_out(machine, p, s_table + ti, (entry,))
 
     each_share(machine, H, scan_script)
 
@@ -689,8 +663,7 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
         for rank in range(lo, hi):
             ti = sigma[rank]
             entry = machine.create(p, ("D", ti), blk)
-            yield Output(d_table + ti, (entry,))
-            machine.discard(p, (entry,))
+            yield from write_out(machine, p, d_table + ti, (entry,))
             dest[ti] = blk
             blk += ceil_div(extent[ti][1], B)
 
@@ -713,8 +686,7 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
             for ri, addr, base, win_lo, win_hi in _span_blocks(runs, g_lo, g_hi, B):
                 picked.extend((yield from _read_window(
                     machine, p, addr, base, win_lo, win_hi, pick_set)))
-            yield Output(staging.addr(dest[ti] + q), picked)
-            machine.discard(p, picked)
+            yield from write_out(machine, p, staging.addr(dest[ti] + q), picked)
 
     each_share(machine, len(out_blocks), write_script)
 
@@ -750,8 +722,7 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet,
             for l in sorted(row_acc):
                 outbuf.append(machine.create(p, (row, l), row_acc[l]))
                 if len(outbuf) == B:
-                    yield Output(frag.addr(blk), outbuf)
-                    machine.discard(p, outbuf)
+                    yield from write_out(machine, p, frag.addr(blk), outbuf)
                     blk += 1
                     outbuf.clear()
             row_acc.clear()
@@ -774,8 +745,7 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet,
             yield from emit_row()
             frags[(ri, p)] = Run(frag, 0, blk * B + len(outbuf))
             if outbuf:
-                yield Output(frag.addr(blk), outbuf)
-                machine.discard(p, outbuf)
+                yield from write_out(machine, p, frag.addr(blk), outbuf)
                 outbuf.clear()
 
     each_share(machine, H, reduce_script)
@@ -820,8 +790,7 @@ def _fill_grid(machine: Machine, grid: Region, final: Run | None,
                     cells.append(held[g])
                 else:
                     cells.append(machine.create(p, (g // w + 1, g % w + 1), identity))
-            yield Output(grid.addr(bi), cells)
-            machine.discard(p, cells)
+            yield from write_out(machine, p, grid.addr(bi), cells)
 
     each_share(machine, grid.blocks, fill_script)
     return grid
@@ -875,8 +844,7 @@ def direct_shuffle(machine: Machine, region: Region, instance: ShuffleInstance,
                 if drop:
                     machine.discard(p, drop)
             cells = [by_slot[r] for r in range(len(srcs))]
-            yield Output(out.addr(bi), cells)
-            machine.discard(p, cells)
+            yield from write_out(machine, p, out.addr(bi), cells)
 
     each_share(machine, out.blocks, script)
     return out

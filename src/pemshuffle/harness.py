@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass, field
 from . import algorithms as alg
 from . import cost_model as cm
-from .machine import (CREW, EREW, MachineConfig, Output, SimulationError, act,
-                      create_machine)
+from .machine import (CREW, EREW, MachineConfig, SimulationError, create_machine,
+                      run_lockstep, write_out)
 from .primitives import gather, prefix_sum, scatter
 from .workload import (
     COLUMN_MAJOR,
@@ -254,8 +254,7 @@ def _run_primitive(pipe: Pipeline, point: dict[str, int], seed: int,
     elif pipe.name == "prim_scatter":
         src = machine.alloc(1)
         filler = [machine.create(0, ("s", i), i) for i in range(B)]
-        act(machine, {0: Output(src, filler)})
-        machine.discard(0, filler)
+        run_lockstep(machine, [write_out(machine, 0, src, filler)])
         base = machine.io_count
         got = scatter(machine, src, list(range(P)), tree=True)
         ok = all(_key_payloads(got.get(p, ())) == _key_payloads(filler)

@@ -108,13 +108,8 @@ class Output:
         self.elements = tuple(elements)
 
 
-class Idle:
-    __slots__ = ()
-
-
-IDLE = Idle()
-
-Action = Input | Output | Idle | None
+# None is an idle processor.
+Action = Input | Output | None
 
 
 class IOTrace:
@@ -278,19 +273,19 @@ class Machine:
         if len(actions) != cfg.P:
             raise ConfigurationError(
                 f"need exactly one action per processor ({cfg.P}), got {len(actions)}")
-        if all(a is None or isinstance(a, Idle) for a in actions):
-            raise PolicyViolation("all-idle parallel step is not allowed")
 
         ext, mems = self._ext, self._mem
         reads: list[tuple[int, int]] = []
         writes: list[tuple[int, Output]] = []
         for p, a in enumerate(actions):
-            if isinstance(a, Input):
+            if a is None:
+                continue
+            if a.__class__ is Input:
                 if a.addr not in ext:
                     raise MissingBlockError(
                         f"processor {p}: input of absent block {a.addr}")
                 reads.append((p, a.addr))
-            elif isinstance(a, Output):
+            elif a.__class__ is Output:
                 elems = a.elements
                 if len(elems) > cfg.B:
                     raise CapacityViolation(
@@ -301,6 +296,11 @@ class Machine:
                     raise ProvenanceViolation(
                         f"processor {p}: output of element not in internal memory")
                 writes.append((p, a))
+            else:
+                raise ConfigurationError(
+                    f"processor {p}: {a!r} is not an Input, Output or None")
+        if not reads and not writes:
+            raise PolicyViolation("all-idle parallel step is not allowed")
         out_addrs = [a.addr for _, a in writes]
         if len(set(out_addrs)) != len(out_addrs):
             raise PolicyViolation("two outputs to the same block in one step")
@@ -426,53 +426,55 @@ def create_machine(config: MachineConfig,
 def run_lockstep(machine: Machine, scripts: Sequence) -> None:
     """Advance per-processor action generators one step at a time.
 
-    Each script is a generator yielding Input/Output/Idle/None; the
-    value sent back is that processor's input content (None otherwise).
-    Scripts run in lockstep until all are exhausted.  A step in which
-    every live script yields idle is a deadlock and raises.
+    ``scripts[p]`` is processor p's generator, or None when p has
+    nothing to do; processors past the end of ``scripts`` idle too.  A
+    script yields Input, Output or None (idle) and is sent back its
+    input content (None otherwise).  Scripts run in lockstep, each
+    leaving when it finishes; a step in which every live script idles
+    is refused by ``parallel_step``.
     """
-    live = {p: g for p, g in enumerate(scripts) if g is not None}
-    inbound: dict[int, Any] = {p: None for p in live}
-    primed: set[int] = set()
     P = machine.config.P
+    if len(scripts) > P:
+        raise ConfigurationError(
+            f"at most one script per processor ({P}), got {len(scripts)}")
+    live = [(p, g) for p, g in enumerate(scripts) if g is not None]
+    results: list = [None] * P
     while live:
-        actions: list[Action] = [IDLE] * P
-        any_work = False
-        for p in sorted(live):
-            g = live[p]
+        actions: list[Action] = [None] * P
+        running = []
+        for p, g in live:
             try:
-                a = g.send(inbound[p]) if p in primed else next(g)
-                primed.add(p)
+                actions[p] = g.send(results[p])
             except StopIteration:
-                del live[p]
                 continue
-            if a is not None and not isinstance(a, Idle):
-                actions[p] = a
-                any_work = True
-        if not live:
-            break
-        if not any_work:
-            raise SimulationError("lockstep deadlock: all live scripts idle")
-        results = machine.parallel_step(actions)
-        inbound = {p: results[p] for p in live}
+            running.append((p, g))
+        live = running
+        if live:
+            results = machine.parallel_step(actions)
 
 
 def each_share(machine: Machine, n: int, script: Callable) -> None:
     """Run ``script(p, lo, hi)`` in lockstep over even shares [lo, hi) of
     n items; processors whose share is empty stay idle."""
-    P = machine.config.P
-    share = ceil_div(n, P)
-    run_lockstep(machine, [script(p, p * share, min(n, (p + 1) * share))
-                           if p * share < n else None for p in range(P)])
+    share = ceil_div(n, machine.config.P) or 1
+    run_lockstep(machine, [script(p, lo, min(n, lo + share))
+                           for p, lo in enumerate(range(0, n, share))])
 
 
 def act(machine: Machine, actions: dict[int, Action]) -> list:
     """One parallel I/O of the given per-processor actions; every
     processor not named stays idle.  Returns ``parallel_step``'s result."""
-    step: list[Action] = [IDLE] * machine.config.P
+    step: list[Action] = [None] * machine.config.P
     for p, a in actions.items():
         step[p] = a
     return machine.parallel_step(step)
+
+
+def write_out(machine: Machine, p: int, addr: int, elems: Sequence[Element]):
+    """Script step: processor p outputs ``elems`` to block ``addr``, then
+    drops them from its internal memory."""
+    yield Output(addr, elems)
+    machine.discard(p, elems)
 
 
 def exchange(machine: Machine,

@@ -24,6 +24,7 @@ from .machine import (
     each_share,
     exchange,
     run_lockstep,
+    write_out,
 )
 
 
@@ -192,11 +193,7 @@ def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
                for _ in range(volume_procs)]
     boundary_lists: list[list[tuple[int, int]]] = [[] for _ in range(volume_procs)]
 
-    def scan_script(vp: int):
-        lo = vp * piece
-        hi = min(n, lo + piece)
-        if lo >= hi:
-            return
+    def scan_script(vp: int, lo: int, hi: int):
         first_blk = lo // B
         last_blk = (hi - 1) // B
         pos = first_blk * B
@@ -213,18 +210,16 @@ def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
                         buffer.append(machine.create(vp, ("range-start", r), (r, pos)))
                         prev_range = r
                         if len(buffer) == B:
-                            yield Output(scratch[vp] + out_blk, buffer)
-                            machine.discard(vp, buffer)
+                            yield from write_out(machine, vp, scratch[vp] + out_blk, buffer)
                             out_blk += 1
                             buffer = []
                 pos += 1
             machine.discard(vp, block)
         if buffer:
-            yield Output(scratch[vp] + out_blk, buffer)
-            machine.discard(vp, buffer)
+            yield from write_out(machine, vp, scratch[vp] + out_blk, buffer)
 
-    run_lockstep(machine, [scan_script(vp) if vp < volume_procs else None
-                           for vp in range(P)])
+    run_lockstep(machine, [scan_script(vp, lo, min(n, lo + piece))
+                           for vp, lo in enumerate(range(0, n, piece))])
 
     # Distribution: each range processor fetches the scratch block that
     # carries its key-range start; under CREW this is one parallel read.
@@ -305,8 +300,7 @@ def contract(machine: Machine, region: Region) -> Region:
                 pos += take
                 if pos == blk_hi:
                     if owner_of[blk] == p:
-                        yield Output(out.addr(blk), outbuf)
-                        machine.discard(p, outbuf)
+                        yield from write_out(machine, p, out.addr(blk), outbuf)
                     else:
                         pieces.setdefault(blk, {})[p] = outbuf
                     outbuf = []
@@ -331,15 +325,12 @@ def contract(machine: Machine, region: Region) -> Region:
 
     # An owner's range ends in the one shared block it owns, so every
     # shared block is written in a single step.
-    writes: dict[int, Output] = {}
+    writers: list = [None] * P
     for blk in shared:
         owner = owner_of[blk]
-        if owner in writes:
+        if writers[owner] is not None:
             raise SimulationError(f"processor {owner} owns two shared blocks")
-        writes[owner] = Output(out.addr(blk), [e for q in sorted(pieces[blk])
-                                               for e in pieces[blk][q]])
-    if writes:
-        act(machine, writes)
-    for owner, write in writes.items():
-        machine.discard(owner, write.elements)
+        writers[owner] = write_out(machine, owner, out.addr(blk),
+                                   [e for q in sorted(pieces[blk]) for e in pieces[blk][q]])
+    run_lockstep(machine, writers)
     return out

@@ -8,27 +8,36 @@ tests/data/golden_sweep.csv, whose ``measured_io`` column holds every
 row's exact I/O count, the bound catalog of grids/small.cfg in
 tests/data/golden_bounds.csv, the SKIP_SPEC sweep CSV in
 tests/data/golden_skips.csv and the grids/small.cfg sweep under EREW,
-failed rows and their reasons included, in tests/data/golden_erew.csv.
-A pure speed-up or refactor must leave all of them untouched;
-``--check`` recomputes them in memory, writes nothing, names every row
-whose I/O count moved and exits 1 if any file differs.
+failed rows and their reasons included, in tests/data/golden_erew.csv,
+and the full-trace digest of every pipeline at the TRACE_POINTS under
+CREW and EREW in tests/data/golden_traces.json.  A pure speed-up or
+refactor must leave all of them untouched; ``--check`` recomputes them
+in memory, writes nothing, names every row whose I/O count or trace
+moved and exits 1 if any file differs.
 """
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
 import sys
 
+from observers import Tee
+from pemshuffle import cost_model as cm
 from pemshuffle.harness import (
     GRID_KEYS,
+    PIPELINES,
     ExperimentSpec,
     Report,
     bounds_catalog,
     calibrate,
     load_spec,
+    run_point,
     run_sweep,
 )
+from pemshuffle.machine import CREW, EREW, IOTrace, Machine
 
 ALL_PIPELINES = [
     "direct_shuffle", "complete_sort",
@@ -73,6 +82,8 @@ GOLDEN_SKIPS_PATH = os.path.join(os.path.dirname(__file__), "data",
                                  "golden_skips.csv")
 GOLDEN_EREW_PATH = os.path.join(os.path.dirname(__file__), "data",
                                 "golden_erew.csv")
+GOLDEN_TRACES_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                  "golden_traces.json")
 SMALL_GRID_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                                "grids", "small.cfg")
 
@@ -120,12 +131,91 @@ def small_erew_sweep() -> str:
     return run_sweep(spec).to_csv()
 
 
+# Points whose full traces are frozen: the TIGHT point at H=1024 and a
+# small one with P not a power of two, M = 3B and v = w = 2.
+TRACE_POINTS = [
+    dict(N_M=128, N_R=32, H=1024, v=1, w=1, P=8, M=24, B=4),
+    dict(N_M=64, N_R=16, H=256, v=2, w=2, P=3, M=6, B=2),
+]
+
+
+def trace_digest(trace: IOTrace) -> str:
+    """SHA-256 of every step record and free record, elements by uid."""
+    def uids(elems):
+        return tuple(e.uid for e in elems)
+
+    h = hashlib.sha256()
+    for t, records in enumerate(trace.steps):
+        h.update(repr((t, [rec if rec is None or rec[0] == "I"
+                           else (rec[0], rec[1], uids(rec[2]))
+                           for rec in records])).encode())
+    for t in sorted(trace.free_ops):
+        for rec in trace.free_ops[t]:
+            h.update(repr((t, rec[0], rec[1], *map(uids, rec[2:]))).encode())
+    return h.hexdigest()
+
+
+@contextlib.contextmanager
+def recording_traces():
+    """Attach an IOTrace to every machine built inside the block.
+
+    Yields the list the traces are appended to, in machine creation
+    order.  A transposition row attaches its potential tracker after
+    loading; the trace keeps recording next to it.
+    """
+    traces: list[IOTrace] = []
+    init, track = Machine.__init__, cm.track_potential
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.observer = IOTrace(self.config.P)
+        traces.append(self.observer)
+
+    def track_and_record(machine, output_block_of):
+        trace = machine.observer
+        tracker = track(machine, output_block_of)
+        machine.observer = Tee(trace, tracker)
+        return tracker
+
+    Machine.__init__, cm.track_potential = recording_init, track_and_record
+    try:
+        yield traces
+    finally:
+        Machine.__init__, cm.track_potential = init, track
+
+
+def pipeline_traces(point: dict[str, int], policy: str) -> tuple[list, list]:
+    """Every pipeline's row and trace at ``point``, seed 0; a row that
+    fails keeps the trace of the steps it made."""
+    with recording_traces() as traces:
+        rows = [run_point(name, point, 0, policy) for name in PIPELINES]
+    if len(traces) != len(rows):
+        raise RuntimeError(f"{len(rows)} pipelines built {len(traces)} machines")
+    return rows, traces
+
+
+def trace_digests() -> dict[str, str]:
+    """The trace digest of every pipeline at every TRACE_POINT, CREW and
+    EREW, by row name."""
+    digests = {}
+    for policy in (CREW, EREW):
+        for point in TRACE_POINTS:
+            for row, trace in zip(*pipeline_traces(point, policy)):
+                digests[f"{row_id(row)} policy={policy}"] = trace_digest(trace)
+    return digests
+
+
+def traces_text() -> str:
+    return json.dumps(trace_digests(), indent=2, sort_keys=True) + "\n"
+
+
 def golden_texts() -> dict[str, str]:
     """The text of every golden file, by path."""
     return {GOLDEN_SWEEP_PATH: combined_report().to_csv(),
             GOLDEN_BOUNDS_PATH: small_bounds_catalog(),
             GOLDEN_SKIPS_PATH: run_sweep(SKIP_SPEC).to_csv(),
-            GOLDEN_EREW_PATH: small_erew_sweep()}
+            GOLDEN_EREW_PATH: small_erew_sweep(),
+            GOLDEN_TRACES_PATH: traces_text()}
 
 
 def regenerate_golden() -> dict[str, str]:
@@ -144,6 +234,12 @@ def check_golden() -> int:
     for k in sorted(frozen.keys() | golden.keys()):
         if frozen.get(k) != golden.get(k):
             print(f"moved: {k}: {frozen.get(k)} -> {golden.get(k)}")
+    traces = json.loads(texts[GOLDEN_TRACES_PATH])
+    frozen_traces = (json.loads(frozen_text(GOLDEN_TRACES_PATH))
+                     if os.path.exists(GOLDEN_TRACES_PATH) else {})
+    for k in sorted(frozen_traces.keys() | traces.keys()):
+        if frozen_traces.get(k) != traces.get(k):
+            print(f"moved trace: {k}: {frozen_traces.get(k)} -> {traces.get(k)}")
     differ = [path for path, text in texts.items()
               if not os.path.exists(path) or frozen_text(path) != text]
     for path in differ:

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, one pass/fail line each."""
 
-import hashlib
+import json
 import math
 import random
 import time
@@ -8,7 +8,6 @@ import time
 import pytest
 
 import acceptance_specs as specs
-from observers import Tee
 from pemshuffle import cost_model as cm
 from pemshuffle.algorithms import (
     complete_sort,
@@ -25,12 +24,12 @@ from pemshuffle.algorithms import (
     prepare_sorted_map,
     prepare_unordered_map,
 )
-from pemshuffle.harness import PIPELINES, Report, _log_term, run_point, run_sweep
+from pemshuffle.harness import PIPELINES, Report, _log_term, run_sweep
 from pemshuffle.machine import (
+    CREW,
     EREW,
     Input,
     IOTrace,
-    Machine,
     MachineConfig,
     PolicyViolation,
     bsp_star_replay,
@@ -362,55 +361,27 @@ def test_criterion_8_determinism(band_report):
              f"{len(first)} bytes")
 
 
-def _trace_digest(trace) -> str:
-    """SHA-256 of every step record and free record, elements by uid."""
-    def uids(elems):
-        return tuple(e.uid for e in elems)
-
-    h = hashlib.sha256()
-    for t, records in enumerate(trace.steps):
-        h.update(repr((t, [rec if rec is None or rec[0] == "I"
-                           else (rec[0], rec[1], uids(rec[2]))
-                           for rec in records])).encode())
-    for t in sorted(trace.free_ops):
-        for rec in trace.free_ops[t]:
-            h.update(repr((t, rec[0], rec[1], *map(uids, rec[2:]))).encode())
-    return h.hexdigest()
-
-
-def test_trace_determinism(monkeypatch):
+def test_trace_determinism():
     """Two runs of every pipeline in one process leave identical traces."""
-    traces = []
-    init, track = Machine.__init__, cm.track_potential
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.observer = IOTrace(self.config.P)
-        traces.append(self.observer)
-
-    def track_and_record(machine, output_block_of):
-        # a transposition row attaches its potential tracker; the trace
-        # keeps recording next to it
-        trace = machine.observer
-        tracker = track(machine, output_block_of)
-        machine.observer = Tee(trace, tracker)
-        return tracker
-
-    monkeypatch.setattr(Machine, "__init__", recording_init)
-    monkeypatch.setattr(cm, "track_potential", track_and_record)
-    point = dict(N_M=128, N_R=32, H=1024, v=1, w=1, P=8, M=24, B=4)
-
     def run():
-        traces.clear()
-        for name in PIPELINES:
-            row = run_point(name, point, 0)
+        rows, traces = specs.pipeline_traces(specs.TRACE_POINTS[0], CREW)
+        for row in rows:
+            name = row["algorithm"]
             assert row["status"] == "ok", name
             assert row["potential"] == ("pass" if PIPELINES[name].transposition
                                         else "na"), name
-        assert len(traces) == len(PIPELINES)
         assert all(trace.steps for trace in traces)
-        return dict(zip(PIPELINES, map(_trace_digest, traces)))
+        return [specs.trace_digest(trace) for trace in traces]
 
     first, second = run(), run()
-    moved = [name for name in PIPELINES if first[name] != second[name]]
+    moved = [name for name, a, b in zip(PIPELINES, first, second) if a != b]
     assert not moved, f"traces differ between runs: {moved}"
+
+
+def test_golden_traces():
+    """Every pipeline at the trace points, under CREW and EREW, repeats
+    the full-trace digest frozen in golden_traces.json."""
+    golden = json.loads(specs.frozen_text(specs.GOLDEN_TRACES_PATH))
+    got = specs.trace_digests()
+    moved = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
+    assert not moved, f"{len(moved)} traces moved, e.g. {moved[:3]}"

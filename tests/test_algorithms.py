@@ -6,6 +6,7 @@ import pytest
 from pemshuffle.algorithms import (
     MetaRunSet,
     Run,
+    _block_pieces,
     complete_sort,
     direct_shuffle,
     finalize_nonparallel_reduce,
@@ -25,7 +26,6 @@ from pemshuffle.algorithms import (
     tile_table,
 )
 from pemshuffle.machine import (
-    IDLE,
     MachineConfig,
     Output,
     SimulationError,
@@ -83,7 +83,7 @@ def presorted_runs(machine, n_runs, run_len, B, seed=0):
                      for i, k in enumerate(chunk)]
             value += len(chunk)
             machine.parallel_step([Output(region.addr(bi), elems)] +
-                                  [IDLE] * (machine.config.P - 1))
+                                  [None] * (machine.config.P - 1))
             machine.discard(0, elems)
         runs.append(Run(region, 0, run_len))
     return runs
@@ -455,3 +455,15 @@ def test_finalize_single_sliced_run_copies_out():
     assert [e.key for e in m.region_elements(out)] == \
         [e.key for e in run_elements(m, sliced)]
     m.assert_memories_empty()
+
+
+def test_block_pieces_cover_each_block_once():
+    nbs = [3, 0, 2, 5, 0, 1]
+    blocks = [(g, b) for g, nb in enumerate(nbs) for b in range(nb)]
+    for share in range(1, len(blocks) + 1):
+        covered = []
+        for lo in range(0, len(blocks), share):
+            for g, blo, bhi in _block_pieces(nbs, lo, min(len(blocks), lo + share)):
+                assert blo < bhi <= nbs[g]
+                covered.extend((g, b) for b in range(blo, bhi))
+        assert covered == blocks, share

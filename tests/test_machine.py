@@ -3,7 +3,6 @@ import pytest
 from pemshuffle.machine import (
     CREW,
     EREW,
-    IDLE,
     CapacityViolation,
     ConfigurationError,
     Input,
@@ -17,7 +16,9 @@ from pemshuffle.machine import (
     act,
     bsp_star_replay,
     create_machine,
+    each_share,
     exchange,
+    run_lockstep,
 )
 
 
@@ -84,14 +85,14 @@ class TestParallelStep:
 
     def test_erew_rejects_read_write_overlap(self):
         m = simple(P=2, M=12, B=4, policy=EREW, blocks=[(0, [(1, "x")])])
-        m.parallel_step([Input(0), IDLE])
+        m.parallel_step([Input(0), None])
         e = m.held_sorted(0)
         with pytest.raises(PolicyViolation):
             m.parallel_step([Output(0, e), Input(0)])
 
     def test_inputs_see_pre_step_image(self):
         m = simple(P=2, M=12, B=4, blocks=[(0, [(1, "old")])])
-        m.parallel_step([Input(0), IDLE])
+        m.parallel_step([Input(0), None])
         held = m.held_sorted(0)
         r = m.parallel_step([Output(0, []), Input(0)])
         assert len(r[1]) == 1 and r[1][0].payload == "old"
@@ -101,7 +102,15 @@ class TestParallelStep:
     def test_all_idle_rejected(self):
         m = simple(P=2, M=12, B=4)
         with pytest.raises(PolicyViolation):
-            m.parallel_step([IDLE, IDLE])
+            m.parallel_step([None, None])
+
+    def test_non_action_rejected_and_not_charged(self):
+        m = simple(P=2, M=12, B=4, blocks=[(0, [(1, "x")])])
+        with pytest.raises(ConfigurationError, match="processor 0"):
+            m.parallel_step(["junk", None])
+        with pytest.raises(ConfigurationError, match="processor 1"):
+            m.parallel_step([Input(0), 7])
+        assert m.io_count == 0 and m.held_count(0) == 0
 
     def test_absent_block_read_is_error(self):
         m = simple()
@@ -110,10 +119,10 @@ class TestParallelStep:
 
     def test_output_of_foreign_element(self):
         m = simple(P=2, M=12, B=4, blocks=[(0, [(1, "x")])])
-        m.parallel_step([Input(0), IDLE])
+        m.parallel_step([Input(0), None])
         e = m.held_sorted(0)
         with pytest.raises(ProvenanceViolation):
-            m.parallel_step([IDLE, Output(9, e)])
+            m.parallel_step([None, Output(9, e)])
 
     def test_monotone_io_count(self):
         m = simple(P=1, M=6, B=2, blocks=[(0, [(1, 0)])])
@@ -142,7 +151,7 @@ class TestFreeOps:
 
     def test_discard_foreign_element(self):
         m = simple(P=2, M=12, B=4, blocks=[(0, [(1, "x")])])
-        m.parallel_step([Input(0), IDLE])
+        m.parallel_step([Input(0), None])
         e = m.held_sorted(0)
         with pytest.raises(ProvenanceViolation):
             m.discard(1, e)
@@ -240,3 +249,56 @@ class TestRoundHelpers:
             exchange(m, [(0, 2, [a]), (1, 2, [b])])
         assert m.io_count == 0
 
+
+
+def reader(addrs, got):
+    """Script that inputs each address in turn, keeping what it was sent."""
+    for addr in addrs:
+        got.append((yield Input(addr)))
+
+
+class TestDrivers:
+    def test_lockstep_sends_each_script_its_block(self):
+        m = simple(P=3, M=12, B=4, blocks=[(a, [(a, "x")]) for a in range(3)])
+        got = [[] for _ in range(3)]
+        run_lockstep(m, [reader([2], got[0]), None, reader([0], got[2])])
+        assert m.io_count == 1
+        assert [[e.key for b in g for e in b] for g in got] == [[2], [], [0]]
+
+    def test_finished_script_leaves_while_others_run(self):
+        m = simple(P=2, M=12, B=4, blocks=[(a, [(a, "x")]) for a in range(3)])
+        trace = m.observer = IOTrace(2)
+        got = [[], []]
+        run_lockstep(m, [reader([0], got[0]), reader([0, 1, 2], got[1])])
+        assert m.io_count == 3
+        assert [rec is None for step in trace.steps for rec in step] == \
+            [False, False, True, False, True, False]
+        assert [b[0].key for b in got[1]] == [0, 1, 2]
+
+    def test_all_idle_lockstep_raises_without_charge(self):
+        def idle():
+            yield None
+
+        m = simple(P=2, M=12, B=4)
+        with pytest.raises(SimulationError):
+            run_lockstep(m, [idle(), idle()])
+        assert m.io_count == 0
+
+    def test_lockstep_rejects_more_scripts_than_processors(self):
+        m = simple(P=2, M=12, B=4, blocks=[(0, [(1, "x")])])
+        with pytest.raises(ConfigurationError, match=r"\(2\), got 3"):
+            run_lockstep(m, [None, None, reader([0], [])])
+        assert m.io_count == 0
+
+    def test_each_share_skips_empty_shares(self):
+        m = simple(P=4, M=12, B=4, blocks=[(a, [(a, "x")]) for a in range(2)])
+        calls = []
+
+        def script(p, lo, hi):
+            calls.append((p, lo, hi))
+            yield Input(lo)
+
+        each_share(m, 2, script)
+        assert calls == [(0, 0, 1), (1, 1, 2)] and m.io_count == 1
+        each_share(m, 0, script)
+        assert len(calls) == 2 and m.io_count == 1

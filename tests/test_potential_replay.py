@@ -17,7 +17,7 @@ import phi_reference
 from observers import Tee
 from pemshuffle import algorithms as alg
 from pemshuffle import cost_model as cm
-from pemshuffle.machine import IDLE, Input, IOTrace, MachineConfig, Output, create_machine
+from pemshuffle.machine import Input, IOTrace, MachineConfig, Output, create_machine
 from pemshuffle.workload import COLUMN_MAJOR, MIXED_COLUMN, generate
 
 TOL = 1e-9
@@ -111,8 +111,8 @@ def test_concurrent_read_copies_dropped_before_next_step():
     r = m.parallel_step([Input(0), Input(0)])
     m.discard(0, r[0])
     m.discard(1, r[1])
-    m.parallel_step([Input(1), IDLE])
-    m.parallel_step([Output(2, m.held_sorted(0)), IDLE])
+    m.parallel_step([Input(1), None])
+    m.parallel_step([Output(2, m.held_sorted(0)), None])
     m.discard(0, m.held_sorted(0))
     rep = assert_same_replay(m, out.get)
     assert rep.applicable and rep.deltas[0] == 0.0
@@ -125,7 +125,7 @@ def test_concurrent_read_copies_surviving_the_step(keepers):
     for p in (0, 1):
         if p not in keepers:
             m.discard(p, r[p])
-    m.parallel_step([Output(3 + p, r[p]) if p in keepers else IDLE for p in (0, 1)])
+    m.parallel_step([Output(3 + p, r[p]) if p in keepers else None for p in (0, 1)])
     for p in keepers:
         m.discard(p, r[p])
     rep = assert_same_replay(m, out.get)
@@ -135,7 +135,7 @@ def test_concurrent_read_copies_surviving_the_step(keepers):
 
 def test_read_and_drop_while_the_home_block_is_overwritten():
     m, out = two_procs([("a", 0), ("b", 0), ("c", 1), ("d", 1)], [("e", 2), ("f", 2)])
-    held = m.parallel_step([IDLE, Input(1)])[1]
+    held = m.parallel_step([None, Input(1)])[1]
     r = m.parallel_step([Input(0), Output(0, held)])
     m.discard(0, r[0])
     m.discard(1, held)
@@ -148,12 +148,12 @@ def test_read_and_drop_while_the_home_block_is_overwritten():
 
 def test_reread_of_held_elements_then_drop():
     m, out = two_procs([("a", 0), ("b", 0), ("c", 1)])
-    r = m.parallel_step([Input(0), IDLE])
-    m.parallel_step([Input(0), IDLE])
+    r = m.parallel_step([Input(0), None])
+    m.parallel_step([Input(0), None])
     m.discard(0, r[0])
     # p0 no longer holds anything, so p1's read is no copy
-    r = m.parallel_step([IDLE, Input(0)])
-    m.parallel_step([IDLE, Output(3, r[1])])
+    r = m.parallel_step([None, Input(0)])
+    m.parallel_step([None, Output(3, r[1])])
     m.discard(1, r[1])
     rep = assert_same_replay(m, out.get)
     assert rep.applicable and rep.deltas == pytest.approx([0.0] * 4)
@@ -161,18 +161,18 @@ def test_reread_of_held_elements_then_drop():
 
 def move_to_block_1(m):
     """Rewrite block 0 into block 1; block 0 keeps stale copies."""
-    r = m.parallel_step([Input(0), IDLE])
-    m.parallel_step([Output(1, r[0]), IDLE])
+    r = m.parallel_step([Input(0), None])
+    m.parallel_step([Output(1, r[0]), None])
     m.discard(0, r[0])
 
 
 def test_drop_of_a_read_while_another_processor_keeps_a_stale_copy():
     m, out = two_procs([("a", 0), ("b", 0)])
     move_to_block_1(m)
-    stale = m.parallel_step([IDLE, Input(0)])[1]
-    r = m.parallel_step([Input(1), IDLE])
+    stale = m.parallel_step([None, Input(0)])[1]
+    r = m.parallel_step([Input(1), None])
     m.discard(0, r[0])
-    m.parallel_step([IDLE, Output(2, stale)])
+    m.parallel_step([None, Output(2, stale)])
     m.discard(1, stale)
     rep = assert_same_replay(m, out.get)
     # a and b count in p1's memory from step 2 on, wherever else they
@@ -185,7 +185,7 @@ def test_one_element_read_from_two_blocks_in_one_step():
     move_to_block_1(m)
     r = m.parallel_step([Input(1), Input(0)])
     m.discard(0, r[0])
-    m.parallel_step([IDLE, Output(2, r[1])])
+    m.parallel_step([None, Output(2, r[1])])
     m.discard(1, r[1])
     rep = assert_same_replay(m, out.get)
     assert rep.deltas == pytest.approx([0.0, 0.0, 0.0, 0.0])
@@ -193,12 +193,12 @@ def test_one_element_read_from_two_blocks_in_one_step():
 
 def test_compute_produced_elements():
     m, out = two_procs([("a", 0), ("b", 0), ("c", 1), ("d", 1)])
-    m.parallel_step([Input(0), IDLE])
+    m.parallel_step([Input(0), None])
     # consume c and d right after reading them; produce one rated and
     # one unrated element
     made = m.compute(0, lambda held: held[:2] + [("x", 1), ("y", 2)])
     out[made[2]] = 3
-    m.parallel_step([Output(4, made), IDLE])
+    m.parallel_step([Output(4, made), None])
     m.discard(0, made)
     rep = assert_same_replay(m, out.get)
     assert rep.applicable
@@ -221,7 +221,7 @@ def random_trace(seed):
     watch(m, out.get)
     existing, addrs = set(range(nblocks)), range(nblocks + 2)
     for _ in range(rng.randint(3, 25)):
-        actions, targets = [IDLE] * P, set()
+        actions, targets = [None] * P, set()
         for p in range(P):
             a, r = rng.choice(addrs), rng.random()
             if r < 0.5 and a in existing:
@@ -233,7 +233,7 @@ def random_trace(seed):
                 actions[p] = Output(a, rng.sample(held, rng.randint(1, min(B, len(held)))))
                 targets.add(a)
         existing |= targets
-        if all(x is IDLE for x in actions):
+        if all(x is None for x in actions):
             m.discard(0, m.held_sorted(0))
             actions[0] = Input(0)
         m.parallel_step(actions)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pemshuffle.machine import (
-    IDLE,
     IOTrace,
     MachineConfig,
     Output,
@@ -221,7 +220,7 @@ def make_sparse_region(machine, cells, B):
     for bi, cell_values in enumerate(cells):
         elems = [machine.create(0, ("c", bi, i), v) for i, v in enumerate(cell_values)]
         machine.parallel_step([Output(start + bi, elems)] +
-                              [IDLE] * (machine.config.P - 1))
+                              [None] * (machine.config.P - 1))
         machine.discard(0, elems)
         total += len(cell_values)
     return Region(start, len(cells), total)
