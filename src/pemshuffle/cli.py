@@ -35,8 +35,6 @@ def _spec_from_args(parser: argparse.ArgumentParser, args) -> harness.Experiment
         spec.algorithms = names
     if args.policy:
         spec.policy = args.policy
-    if args.out:
-        spec.output_path = args.out
     return spec
 
 
@@ -61,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "sweep":
         report = harness.run_sweep(spec)
-        _write_output(spec.output_path, report.to_csv())
+        _write_output(args.out, report.to_csv())
         ok = report.all_pass()
         print(f"{len(report.rows)} rows, "
               f"{sum(1 for r in report.rows if r['status'] == 'skipped')} skipped, "
@@ -75,8 +73,8 @@ def main(argv: list[str] | None = None) -> int:
         except harness.CalibrationError as exc:
             print(f"calibration failed: {exc}", file=sys.stderr)
             return 1
-        if spec.output_path:
-            harness.write_constants(constants, spec.output_path)
+        if args.out:
+            harness.write_constants(constants, args.out)
         for algo in sorted(constants):
             c = constants[algo]
             print(f"{algo}: C1={c['C1']} C2={c['C2']}")
@@ -84,8 +82,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "verify":
         report, verdicts = harness.verify(spec)
-        if spec.output_path:
-            _write_output(spec.output_path, report.to_csv())
+        if args.out:
+            _write_output(args.out, report.to_csv())
         for name, ok in (("budget", verdicts.budget_ok),
                          ("correctness", verdicts.correctness_ok),
                          ("potential", verdicts.potential_ok),
@@ -96,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if verdicts.all_ok() else 1
 
     # bounds
-    _write_output(spec.output_path, harness.bounds_catalog(spec))
+    _write_output(args.out, harness.bounds_catalog(spec))
     return 0
 
 

@@ -303,104 +303,91 @@ def _xlog2x(n: int) -> list[float]:
     return [0.0] + [x * math.log2(x) for x in range(1, n)]
 
 
-class _Replay:
-    """Potential ratings of a run's events, settled once per step.
+class PotentialTracker:
+    """Machine observer that bounds every parallel step's potential increase.
+
+    The per-step bound is P*B*log2(2e) + P*B*log2(min(M, H/P)/B) with H
+    the number of tracked elements.  Phi is sampled at step boundaries,
+    where the lemma reads it: after the step's inputs, its outputs and
+    the free operations up to the next step.  The boundary comes with
+    the next step or ``report``.  Free operations before the first step
+    fold into the first delta, so the deltas telescope to phi_final -
+    phi_initial.
 
     Ratings are counts per (container, output block), a container being
     a block address a >= 0 or processor p as ~p.  ``held[p]`` holds the
     rated elements in p's memory, ``holders`` counts the memories holding
     each and ``twice`` the elements held by two or more.  ``home`` maps
     an element to the block that last received it while that block still
-    holds it; the element counts there while no memory holds it.  Within
-    a step the count changes gather in ``net``; ``settle`` turns them
-    into the step's phi increase.
+    holds it; the element counts there while no memory holds it.  Count
+    changes gather in ``net`` until the boundary turns them into the
+    step's phi increase.
+
+    Phi depends only on the state at a boundary, so reads wait for it:
+    a step parks each reader's elements it did not hold in ``parked[p]``
+    and applies its writes at once; a drop cancels parked elements, a
+    compute parks what it produces, and the boundary reads what is still
+    parked.  Writing before the surviving reads gives the same counts.
+    An element's output block is looked up when it is read, so a caller
+    may name the output block of a produced element after the compute.
+
+    Runs in which an element ends up held by two processors at a step
+    boundary carry copies; the bound does not apply to them and the
+    report says so.
     """
 
-    def __init__(self, output_block_of, P: int, table_size: int):
-        self.out_of = output_block_of
+    def __init__(self, initial_image: dict[int, tuple],
+                 output_block_of: Callable[[Element], int | None],
+                 P: int, M: int, B: int):
+        self.out_of = out_of = output_block_of
         self.held: list[set[Element]] = [set() for _ in range(P)]
+        self.parked: list[dict[Element, None]] = [{} for _ in range(P)]
         self.holders: dict[Element, int] = {}
         self.twice = 0
         self.home: dict[Element, int] = {}
         self.counts: dict[int, dict[int, int]] = {}
         self.net: dict[int, dict[int, int]] = {}
-        self.f = _xlog2x(table_size)
+        self.f = _xlog2x(max(M, B) + 1)
+        H = 0
+        for addr, elems in initial_image.items():
+            net = self._net(addr)
+            for e in elems:
+                o = out_of(e)
+                if o is not None:
+                    self.home[e] = addr
+                    net[o] = net.get(o, 0) + 1
+                    H += 1
+        self.bound = (P * B * math.log2(2 * math.e)
+                      + P * B * math.log2(min(M, max(H / P, B)) / B))
+        self.phi_initial = self.phi = self._settle()
+        self.deltas: list[float] = []
+        self.violations: list[int] = []
+        self.copies = False
+        self._open = False       # a step ran whose boundary has not come
 
-    def _net(self, container: int) -> dict[int, int]:
-        d = self.net.get(container)
-        if d is None:
-            d = self.net[container] = {}
-        return d
+    # -- observer events -------------------------------------------------
 
-    def place(self, addr: int, elems: Iterable[Element]) -> int:
-        out_of, home = self.out_of, self.home
-        net = self._net(addr)
-        placed = 0
-        for e in elems:
-            o = out_of(e)
-            if o is not None:
-                home[e] = addr
-                net[o] = net.get(o, 0) + 1
-                placed += 1
-        return placed
-
-    def read(self, p: int, elems: Iterable[Element], skip=()) -> None:
-        """p takes ``elems`` into memory, except those in ``skip``.
-
-        An element p already holds is no read, so ``skip`` may name all
-        that p drops before the next step: only the ones it did not hold
-        before the step are skipped, and their drops find nothing held.
-        """
-        out_of, home, holders, held = self.out_of, self.home, self.holders, self.held[p]
-        mem = self._net(~p)
-        at = blk = None
-        twice = 0
-        for e in elems:
-            if e in held or e in skip:
-                continue
-            o = out_of(e)
-            if o is None:
-                continue
-            held.add(e)
-            n = holders.get(e, 0)
-            holders[e] = n + 1
-            if n == 1:
-                twice += 1
-            elif not n:
-                a = home.get(e)
-                if a is not None:
-                    # the first holder takes the rating off its home block
-                    if a != at:
-                        at, blk = a, self._net(a)
-                    blk[o] = blk.get(o, 0) - 1
-            mem[o] = mem.get(o, 0) + 1
-        self.twice += twice
-
-    def write(self, addr: int, elems: tuple, old: tuple) -> None:
-        # the writer holds every element it outputs, so a rated element
-        # written here is held: it moves home without moving its rating
-        home, holders = self.home, self.holders
-        if old:
-            fresh = set(elems)
-            blk = None
-            for e in old:
-                if home.get(e) == addr and e not in fresh:
-                    del home[e]
-                    if e not in holders:
-                        if blk is None:
-                            blk = self._net(addr)
-                        o = self.out_of(e)
-                        blk[o] = blk.get(o, 0) - 1
-        for e in elems:
-            if e in holders:
-                home[e] = addr
+    def step(self, reads: list[tuple], writes: list[tuple]) -> None:
+        self._boundary()
+        self._open = True
+        for p, _, block in reads:
+            held, parked = self.held[p], self.parked[p]
+            for e in block:
+                if e not in held:
+                    parked[e] = None
+        for _, addr, elems, old in writes:
+            self._write(addr, elems, old)
 
     def drop(self, p: int, elems: Iterable[Element]) -> None:
-        out_of, home, holders, held = self.out_of, self.home, self.holders, self.held[p]
+        out_of, home, holders = self.out_of, self.home, self.holders
+        held, parked = self.held[p], self.parked[p]
         mem = self._net(~p)
         at = blk = None
         twice = 0
         for e in elems:
+            if e in parked:
+                del parked[e]
+                continue
             if e not in held:
                 continue
             held.remove(e)
@@ -421,15 +408,65 @@ class _Replay:
             mem[o] = mem.get(o, 0) - 1
         self.twice += twice
 
-    def free(self, bucket: Iterable[tuple]) -> None:
-        """Drops and computes; produced elements have no home yet."""
-        for rec in bucket:
-            self.drop(rec[1], rec[2])
-            if rec[0] == "C":
-                self.read(rec[1], rec[3])
+    def compute(self, p: int, consumed: tuple, produced: tuple) -> None:
+        """Drops what p consumed and parks what it produced, which has no home yet."""
+        self.drop(p, consumed)
+        self.parked[p].update(dict.fromkeys(produced))
 
-    def settle(self) -> float:
-        """Apply the step's count changes; returns the change of phi."""
+    # -- count changes ---------------------------------------------------
+
+    def _net(self, container: int) -> dict[int, int]:
+        d = self.net.get(container)
+        if d is None:
+            d = self.net[container] = {}
+        return d
+
+    def _read(self, p: int, elems: Iterable[Element]) -> None:
+        """p takes ``elems``, none of which it holds, into memory."""
+        out_of, home, holders, held = self.out_of, self.home, self.holders, self.held[p]
+        mem = self._net(~p)
+        at = blk = None
+        twice = 0
+        for e in elems:
+            o = out_of(e)
+            if o is None:
+                continue
+            held.add(e)
+            n = holders.get(e, 0)
+            holders[e] = n + 1
+            if n == 1:
+                twice += 1
+            elif not n:
+                a = home.get(e)
+                if a is not None:
+                    # the first holder takes the rating off its home block
+                    if a != at:
+                        at, blk = a, self._net(a)
+                    blk[o] = blk.get(o, 0) - 1
+            mem[o] = mem.get(o, 0) + 1
+        self.twice += twice
+
+    def _write(self, addr: int, elems: tuple, old: tuple) -> None:
+        # the writer holds every element it outputs, so a rated element
+        # written here is held: it moves home without moving its rating
+        home, holders = self.home, self.holders
+        if old:
+            fresh = set(elems)
+            blk = None
+            for e in old:
+                if home.get(e) == addr and e not in fresh:
+                    del home[e]
+                    if e not in holders:
+                        if blk is None:
+                            blk = self._net(addr)
+                        o = self.out_of(e)
+                        blk[o] = blk.get(o, 0) - 1
+        for e in elems:
+            if e in holders:
+                home[e] = addr
+
+    def _settle(self) -> float:
+        """Apply the gathered count changes; returns the change of phi."""
         f, counts = self.f, self.counts
         delta = 0.0
         for c, net in self.net.items():
@@ -453,92 +490,29 @@ class _Replay:
         self.net.clear()
         return delta
 
-
-class PotentialTracker:
-    """Machine observer that bounds every parallel step's potential increase.
-
-    The per-step bound is P*B*log2(2e) + P*B*log2(min(M, H/P)/B) with H
-    the number of tracked elements.  Phi is sampled at step boundaries,
-    where the lemma reads it: after the step's inputs, its outputs and
-    the free operations up to the next step.  So the tracker buffers one
-    step, the blocks its readers input, its outputs and the free
-    operations that follow, and settles it when the next step comes or
-    at ``report``.  Free operations before the first step fold into the
-    first delta, so the deltas telescope to phi_final - phi_initial.
-
-    Phi depends only on the state at a boundary, so an element that a
-    reader inputs, did not hold before and drops before the next step is
-    skipped, read and drop alike.
-
-    Runs in which an element ends up held by two processors at a step
-    boundary carry copies; the bound does not apply to them and the
-    report says so.
-    """
-
-    def __init__(self, initial_image: dict[int, tuple],
-                 output_block_of: Callable[[Element], int | None],
-                 P: int, M: int, B: int):
-        self._replay = replay = _Replay(output_block_of, P, max(M, B) + 1)
-        H = sum(replay.place(addr, elems) for addr, elems in initial_image.items())
-        self.bound = (P * B * math.log2(2 * math.e)
-                      + P * B * math.log2(min(M, max(H / P, B)) / B))
-        self.phi_initial = self.phi = replay.settle()
-        self.deltas: list[float] = []
-        self.violations: list[int] = []
-        self.copies = False
-        self._step: tuple[list, list] | None = None
-        self._free: list[tuple] = []
-
-    # -- observer events -------------------------------------------------
-
-    def step(self, reads: list[tuple], writes: list[tuple]) -> None:
-        if self._step is not None:
-            self._settle()
-        self._step = (reads, writes)
-
-    def drop(self, p: int, elems: tuple) -> None:
-        if self._step is None:
-            self._replay.drop(p, elems)
-        else:
-            self._free.append(("D", p, elems))
-
-    def compute(self, p: int, consumed: tuple, produced: tuple) -> None:
-        rec = ("C", p, consumed, produced)
-        if self._step is None:
-            self._replay.free((rec,))
-        else:
-            self._free.append(rec)
-
     # -- step boundaries -------------------------------------------------
 
-    def _settle(self) -> None:
-        replay, bucket = self._replay, self._free
-        reads, writes = self._step
-        gone: dict[int, set] = {}
-        if reads:
-            readers = {p for p, _, _ in reads}
-            for rec in bucket:
-                if rec[1] in readers:
-                    gone.setdefault(rec[1], set()).update(rec[2])
-        for p, _, block in reads:
-            replay.read(p, block, gone.get(p, ()))
-        for _, addr, elems, old in writes:
-            replay.write(addr, elems, old)
-        replay.free(bucket)
-        if replay.twice:
+    def _boundary(self) -> None:
+        """Read what is still parked, then settle the step that ended, if any."""
+        for p, parked in enumerate(self.parked):
+            if parked:
+                self._read(p, parked)
+                parked.clear()
+        if not self._open:
+            return
+        self._open = False
+        if self.twice:
             self.copies = True
-        delta = replay.settle()
+        delta = self._settle()
         if delta > self.bound + 1e-9:
             self.violations.append(len(self.deltas))
         self.deltas.append(delta)
         self.phi += delta
-        self._step, self._free = None, []
 
     def report(self) -> PotentialReport:
-        """Settle the last step and report the run; call once it is over."""
-        if self._step is not None:
-            self._settle()
-        self.phi += self._replay.settle()   # free operations of a run with no step
+        """Settle the last step and report the run once it is over."""
+        self._boundary()
+        self.phi += self._settle()   # free operations of a run with no step
         return PotentialReport(self.deltas, self.bound, self.phi_initial, self.phi,
                                applicable=not self.copies,
                                reason="trace copies elements" if self.copies else "",

@@ -45,7 +45,6 @@ class ExperimentSpec:
     grid: dict[str, list[int]]
     algorithms: list[str]
     seeds: list[int]
-    output_path: str | None = None
     policy: str = CREW
 
     def points(self) -> list[dict[str, int]]:
@@ -61,7 +60,6 @@ def parse_spec_text(text: str) -> ExperimentSpec:
     grid: dict[str, list[int]] = {}
     algorithms: list[str] = []
     seeds = [0]
-    output_path = None
     policy = CREW
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -84,8 +82,6 @@ def parse_spec_text(text: str) -> ExperimentSpec:
             algorithms = items
         elif key == "seeds":
             seeds = [int(x) for x in items]
-        elif key == "out":
-            output_path = value
         elif key == "policy":
             if value not in (CREW, EREW):
                 raise ValueError(f"line {lineno}: unknown policy {value!r}; "
@@ -98,7 +94,7 @@ def parse_spec_text(text: str) -> ExperimentSpec:
     for a in algorithms:
         if a not in PIPELINES:
             raise ValueError(f"unknown algorithm {a!r}; known: {', '.join(PIPELINES)}")
-    return ExperimentSpec(grid, algorithms, seeds, output_path, policy)
+    return ExperimentSpec(grid, algorithms, seeds, policy)
 
 
 def load_spec(path: str) -> ExperimentSpec:

@@ -464,8 +464,11 @@ def each_share(machine: Machine, n: int, script: Callable) -> None:
 def act(machine: Machine, actions: dict[int, Action]) -> list:
     """One parallel I/O of the given per-processor actions; every
     processor not named stays idle.  Returns ``parallel_step``'s result."""
-    step: list[Action] = [None] * machine.config.P
+    P = machine.config.P
+    step: list[Action] = [None] * P
     for p, a in actions.items():
+        if not 0 <= p < P:
+            raise ConfigurationError(f"processor {p} out of range for P={P}")
         step[p] = a
     return machine.parallel_step(step)
 

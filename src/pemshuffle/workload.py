@@ -129,31 +129,27 @@ def oracle_shuffle(instance: ShuffleInstance) -> list[Triple]:
     return sorted(instance.triples, key=lambda t: (t.i, t.j))
 
 
-def oracle_combined_mxv(instance: ShuffleInstance, input_vectors: Sequence[Sequence],
-                        add: Callable = lambda a, b: a + b,
-                        mul: Callable = lambda a, b: a * b,
-                        zero=0) -> list[list]:
+def oracle_combined_mxv(instance: ShuffleInstance,
+                        input_vectors: Sequence[Sequence]) -> list[list]:
     """Combined matrix-vector product: out[l][i] = sum of x_ij * in[k_ij][j].
 
-    Semiring addition and multiplication come from the caller; no
-    subtraction is ever used.  ``input_vectors`` is v rows of N_M
-    scalars; the result is w rows of N_R scalars.
+    ``input_vectors`` is v rows of N_M scalars; the result is w rows of
+    N_R scalars.
     """
-    out = [[zero] * instance.N_R for _ in range(instance.w)]
+    out = [[0] * instance.N_R for _ in range(instance.w)]
     for t in instance.triples:
-        contrib = mul(t.value, input_vectors[t.k - 1][t.j - 1])
-        out[t.l - 1][t.i - 1] = add(out[t.l - 1][t.i - 1], contrib)
+        out[t.l - 1][t.i - 1] += t.value * input_vectors[t.k - 1][t.j - 1]
     return out
 
 
-def elementary_products(instance: ShuffleInstance, input_vectors: Sequence[Sequence],
-                        mul: Callable = lambda a, b: a * b) -> ShuffleInstance:
+def elementary_products(instance: ShuffleInstance,
+                        input_vectors: Sequence[Sequence]) -> ShuffleInstance:
     """Replace every triple's value by its elementary product x_ij * in[k][j].
 
     Shuffling the result and reducing by destination reproduces the
     combined matrix-vector product.
     """
-    triples = tuple(Triple(t.i, t.j, mul(t.value, input_vectors[t.k - 1][t.j - 1]), t.k, t.l)
+    triples = tuple(Triple(t.i, t.j, t.value * input_vectors[t.k - 1][t.j - 1], t.k, t.l)
                     for t in instance.triples)
     return ShuffleInstance(instance.N_M, instance.N_R, instance.H, instance.v,
                            instance.w, instance.layout, triples, instance.seed)
@@ -197,29 +193,25 @@ class MapTask:
 
 
 def make_map_task(instance: ShuffleInstance,
-                  input_vectors: Sequence[Sequence] | None = None,
-                  mul: Callable = lambda a, b: a * b) -> MapTask:
+                  input_vectors: Sequence[Sequence] | None = None) -> MapTask:
     """Build the map-phase view of an instance.
 
     Without input vectors the emission reproduces the instance triples;
-    with vectors it emits elementary products (value x_ij * in[k][j]).
+    with vectors it emits their ``elementary_products``.
     """
+    if input_vectors is None:
+        vals = tuple(1 for _ in range(instance.N_M * instance.v))
+    else:
+        vals = tuple(input_vectors[k][j] for j in range(instance.N_M)
+                     for k in range(instance.v))
+        instance = elementary_products(instance, input_vectors)
     by_col: dict[int, list[Triple]] = {}
     for t in instance.triples:
         by_col.setdefault(t.j, []).append(t)
     for j in by_col:
         by_col[j].sort(key=lambda t: (t.i, t.j))
-    if input_vectors is None:
-        vals = tuple(1 for _ in range(instance.N_M * instance.v))
 
-        def emission(j: int) -> list[Triple]:
-            return list(by_col.get(j, ()))
-    else:
-        vals = tuple(input_vectors[k][j] for j in range(instance.N_M)
-                     for k in range(instance.v))
-
-        def emission(j: int) -> list[Triple]:
-            return [Triple(t.i, t.j, mul(t.value, input_vectors[t.k - 1][j - 1]), t.k, t.l)
-                    for t in by_col.get(j, ())]
+    def emission(j: int) -> list[Triple]:
+        return list(by_col.get(j, ()))
 
     return MapTask(instance.N_M, instance.H, instance.v, emission, vals)

@@ -285,8 +285,8 @@ class TestCli:
         assert cli_main(["bounds", "--grid", grid, "--out", str(out)]) == 0
         assert out.read_text().startswith("formula_id,")
 
-    @pytest.mark.parametrize("text", ["v = [0]\n", "foo = 1\n", None],
-                             ids=["value-below-one", "unknown-key", "missing-file"])
+    @pytest.mark.parametrize("text", ["v = [0]\n", "foo = 1\n", "out = report.csv\n", None],
+                             ids=["value-below-one", "unknown-key", "out-key", "missing-file"])
     def test_grid_file_error_is_a_usage_error(self, tmp_path, capsys, text):
         path = tmp_path / "bad.cfg"
         if text is not None:

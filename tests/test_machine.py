@@ -226,6 +226,13 @@ class TestRoundHelpers:
         assert [rec is None for rec in trace.steps[0]] == [True, True, False, True]
         assert r[2][0].key == 1 and r[0] is None
 
+    @pytest.mark.parametrize("p", [-1, 2])
+    def test_act_rejects_a_processor_out_of_range(self, p):
+        m = simple(P=2, M=12, B=4, blocks=[(0, [(1, "x")])])
+        with pytest.raises(ConfigurationError, match=f"processor {p} "):
+            act(m, {p: Input(0)})
+        assert m.io_count == 0
+
     def test_exchange_is_two_steps_returning_each_block(self):
         m = simple(P=4, M=12, B=4)
         sent = {p: [m.create(p, ("m", p), p)] for p in (0, 1)}

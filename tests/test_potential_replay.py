@@ -204,6 +204,14 @@ def test_compute_produced_elements():
     assert rep.applicable
 
 
+def test_created_elements_count_in_a_run_without_a_step():
+    m, out = two_procs()
+    for i in range(2):
+        out[m.create(0, ("x", i), None)] = 0
+    rep = assert_same_replay(m, out.get)
+    assert rep.deltas == [] and rep.phi_final == pytest.approx(2.0)
+
+
 # -- seeded random traces -----------------------------------------------------------
 
 
