@@ -315,13 +315,16 @@ class PotentialTracker:
     phi_initial.
 
     Ratings are counts per (container, output block), a container being
-    a block address a >= 0 or processor p as ~p.  ``held[p]`` holds the
-    rated elements in p's memory, ``holders`` counts the memories holding
-    each and ``twice`` the elements held by two or more.  ``home`` maps
-    an element to the block that last received it while that block still
-    holds it; the element counts there while no memory holds it.  Count
-    changes gather in ``net`` until the boundary turns them into the
-    step's phi increase.
+    a block address a >= 0 or processor p as ~p.  ``counts`` holds only
+    the containers that rate something: a container leaves it when its
+    last count drops to 0 and comes back with its next count.  ``held[p]``
+    holds the rated elements in p's memory, ``holders`` counts the
+    memories holding each and ``twice`` the elements held by two or more.
+    ``home``, indexed by ``Element.uid``, names the block that last
+    received an element while that block still holds it, or None; the
+    element counts there while no memory holds it.  The table grows when
+    a produced element is first read.  Count changes gather in ``net``
+    until the boundary turns them into the step's phi increase.
 
     Phi depends only on the state at a boundary, so reads wait for it:
     a step parks each reader's elements it did not hold in ``parked[p]``
@@ -344,7 +347,8 @@ class PotentialTracker:
         self.parked: list[dict[Element, None]] = [{} for _ in range(P)]
         self.holders: dict[Element, int] = {}
         self.twice = 0
-        self.home: dict[Element, int] = {}
+        self.home: list[int | None] = [None] * (1 + max(
+            (e.uid for elems in initial_image.values() for e in elems), default=-1))
         self.counts: dict[int, dict[int, int]] = {}
         self.net: dict[int, dict[int, int]] = {}
         self.f = _xlog2x(max(M, B) + 1)
@@ -354,7 +358,7 @@ class PotentialTracker:
             for e in elems:
                 o = out_of(e)
                 if o is not None:
-                    self.home[e] = addr
+                    self.home[e.uid] = addr
                     net[o] = net.get(o, 0) + 1
                     H += 1
         self.bound = (P * B * math.log2(2 * math.e)
@@ -399,7 +403,7 @@ class PotentialTracker:
                     twice -= 1
             else:
                 del holders[e]
-                a = home.get(e)
+                a = home[e.uid]
                 if a is not None:
                     # the last holder let go: the rating rests at home again
                     if a != at:
@@ -437,7 +441,10 @@ class PotentialTracker:
             if n == 1:
                 twice += 1
             elif not n:
-                a = home.get(e)
+                u = e.uid
+                if u >= len(home):   # first read of a produced element
+                    home.extend([None] * (u + 1 - len(home)))
+                a = home[u]
                 if a is not None:
                     # the first holder takes the rating off its home block
                     if a != at:
@@ -454,8 +461,9 @@ class PotentialTracker:
             fresh = set(elems)
             blk = None
             for e in old:
-                if home.get(e) == addr and e not in fresh:
-                    del home[e]
+                u = e.uid
+                if u < len(home) and home[u] == addr and e not in fresh:
+                    home[u] = None
                     if e not in holders:
                         if blk is None:
                             blk = self._net(addr)
@@ -463,7 +471,7 @@ class PotentialTracker:
                         blk[o] = blk.get(o, 0) - 1
         for e in elems:
             if e in holders:
-                home[e] = addr
+                home[e.uid] = addr
 
     def _settle(self) -> float:
         """Apply the gathered count changes; returns the change of phi."""
@@ -487,6 +495,8 @@ class PotentialTracker:
                     cnt[o] = new
                 else:
                     del cnt[o]
+            if not cnt:
+                del counts[c]   # an emptied dict keeps its allocation
         self.net.clear()
         return delta
 

@@ -195,7 +195,9 @@ def _run_shuffle_pipeline(pipe: Pipeline, point: dict[str, int], seed: int,
     tracker = None
     if pipe.transposition:
         order = sorted(machine.region_elements(region), key=lambda e: e.key)
-        out_idx = {e: r // B for r, e in enumerate(order)}
+        # rank // B, as one int object per output block rather than per element
+        blocks = (o for o in itertools.count() for _ in range(B))
+        out_idx = dict(zip(order, blocks))
         tracker = cm.track_potential(machine, out_idx.get)
     R = (alg.parallel_run_target(H, N_R, w, B) if pipe.parallel_reduce
          else alg.nonparallel_run_target(H, N_R, B))

@@ -173,6 +173,25 @@ class TestObservers:
         assert isinstance(machines[0].observer, cm.PotentialTracker)
         assert len(machines[0].observer.deltas) == row["measured_io"]
 
+    @pytest.mark.parametrize("algorithm", ["direct_shuffle", "complete_sort",
+                                           "unordered_nonparallel", "sorted_nonparallel"])
+    def test_output_block_is_key_rank_over_b(self, monkeypatch, algorithm):
+        handed = []
+        track = cm.track_potential
+
+        def keeping(machine, output_block_of):
+            handed.append((machine.initial_image, output_block_of))
+            return track(machine, output_block_of)
+
+        monkeypatch.setattr(cm, "track_potential", keeping)
+        point = dict(self.POINT, B=3)   # the last output block is partial
+        assert harness.run_point(algorithm, point, 0)["potential"] == "pass"
+        (image, output_block_of), = handed
+        loaded = sorted((e for blk in image.values() for e in blk), key=lambda e: e.key)
+        assert len(loaded) == point["H"]
+        assert ([output_block_of(e) for e in loaded]
+                == [r // point["B"] for r in range(point["H"])])
+
 
 class TestCalibrate:
     def synthetic(self, rows):

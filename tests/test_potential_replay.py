@@ -17,7 +17,8 @@ import phi_reference
 from observers import Tee
 from pemshuffle import algorithms as alg
 from pemshuffle import cost_model as cm
-from pemshuffle.machine import Input, IOTrace, MachineConfig, Output, create_machine
+from pemshuffle import harness
+from pemshuffle.machine import CREW, Input, IOTrace, MachineConfig, Output, create_machine
 from pemshuffle.workload import COLUMN_MAJOR, MIXED_COLUMN, generate
 
 TOL = 1e-9
@@ -91,6 +92,52 @@ def test_transposition_pipelines(name, point):
     cfg = m.config
     rep = cm.check_potential_deltas(trace, m.initial_image, out_of, cfg.P, cfg.M, cfg.B)
     assert rep.ok() and tracker.report() == rep
+
+
+def test_counts_hold_only_containers_that_rate_something():
+    m, _ = run_pipeline("complete_sort", 256, 64, 1024, 4, 64, 8)
+    tracker = m.observer.observers[1]
+    assert tracker.report().ok()
+    # an emptied container leaves counts instead of keeping an empty dict
+    assert tracker.counts
+    assert all(cnt and all(n > 0 for n in cnt.values())
+               for cnt in tracker.counts.values())
+
+
+EDGE_POINTS = [dict(N_M=32, N_R=32, H=256, P=3, M=3, B=1),
+               dict(N_M=32, N_R=32, H=256, P=5, M=12, B=4),
+               dict(N_M=64, N_R=16, H=256, P=7, M=9, B=3)]
+
+
+@pytest.mark.parametrize("name", TRANSPOSITIONS)
+@pytest.mark.parametrize("point", EDGE_POINTS, ids=["b1", "b4", "p7"])
+def test_transposition_rows_at_edge_points(monkeypatch, name, point):
+    """Container churn is highest at B=1, where every output block is one
+    element.  There phi is 0 at every boundary, and the reference's
+    O(steps * blocks) sums take seconds per pipeline, so only
+    ``direct_shuffle`` is held against it; the other three compare the
+    live tracker with the replay."""
+    watched = []
+    track = cm.track_potential
+
+    def watching(machine, out_of):
+        tracker = track(machine, out_of)
+        machine.observer = Tee(IOTrace(machine.config.P), tracker)
+        watched.append((machine, out_of))
+        return tracker
+
+    monkeypatch.setattr(cm, "track_potential", watching)
+    row = harness.run_point(name, dict(point, v=1, w=1), seed=0, policy=CREW)
+    assert (row["status"], row["correct"], row["potential"]) == ("ok", "pass", "pass")
+    assert len(watched) == 1
+    if point["B"] == 1 and name == "direct_shuffle":
+        assert assert_same_replay(*watched[0]).ok()
+    elif point["B"] == 1:
+        machine, out_of = watched[0]
+        trace, tracker = machine.observer.observers
+        cfg = machine.config
+        assert cm.check_potential_deltas(trace, machine.initial_image, out_of,
+                                         cfg.P, cfg.M, cfg.B) == tracker.report()
 
 
 # -- hand-built P=2 CREW traces ---------------------------------------------------
