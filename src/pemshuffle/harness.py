@@ -10,6 +10,7 @@ so reruns with identical seeds are byte-identical.
 
 from __future__ import annotations
 
+import gc
 import io
 import itertools
 import json
@@ -273,7 +274,17 @@ def _params(point: dict) -> cm.Params:
 
 def run_point(algorithm: str, point: dict[str, int], seed: int,
               policy: str = CREW) -> dict:
-    """One sweep row: run, measure, price, and attach verdicts."""
+    """One sweep row: run, measure, price, and attach verdicts.
+
+    A row that runs does so with the cyclic garbage collector paused.
+    The simulator's objects form no reference cycles, so reference
+    counting frees them all, while on large rows the collector's full
+    passes rescanned millions of live elements, blocks and dicts and
+    freed nothing.  The pause is process-wide and only changes speed:
+    the collector is re-enabled afterwards only if it was enabled on
+    entry, and rows run concurrently in one process may end each other's
+    pause early.
+    """
     pipe = PIPELINES[algorithm]
     row = {"algorithm": algorithm, "seed": seed, "policy": policy,
            **{k: point[k] for k in GRID_KEYS}}
@@ -283,8 +294,10 @@ def run_point(algorithm: str, point: dict[str, int], seed: int,
     if reason is not None:
         row.update(status="skipped", reason=reason, correct="", potential="")
     else:
+        run = _run_primitive if primitive else _run_shuffle_pipeline
+        collecting = gc.isenabled()
+        gc.disable()
         try:
-            run = _run_primitive if primitive else _run_shuffle_pipeline
             result = run(pipe, point, seed, policy)
         except SimulationError as exc:
             row.update(status="failed", reason=str(exc), correct="fail",
@@ -296,6 +309,9 @@ def run_point(algorithm: str, point: dict[str, int], seed: int,
             if not primitive:
                 row["leading_term"] = cm.table1_upper(params, *pipe.cell).value
                 _attach_bounds(row, params, pipe)
+        finally:
+            if collecting:
+                gc.enable()
     return {f: row.get(f) for f in FIELDNAMES}
 
 

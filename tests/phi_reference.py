@@ -31,14 +31,16 @@ def check_potential_deltas(trace: IOTrace,
     """Phi at every step boundary, from the state; copies and bound checked there."""
     mem: list[set] = [set() for _ in range(P)]
     ext = {a: tuple(elems) for a, elems in initial_image.items()}
-    last = {e: a for a, elems in ext.items() for e in elems}
+    # the block that last received each rated element
+    last = {e: a for a, elems in ext.items() for e in elems
+            if output_block_of(e) is not None}
 
     def sample() -> tuple[float, bool]:
         held = Counter(e for m in mem for e in m if output_block_of(e) is not None)
         phi = sum(_rating(m, output_block_of) for m in mem)
-        phi += sum(_rating([e for e in elems if e not in held and last[e] == a],
-                           output_block_of)
-                   for a, elems in ext.items())
+        resting = Counter((a, output_block_of(e)) for e, a in last.items()
+                          if e not in held and e in ext[a])
+        phi += sum(x * math.log2(x) for x in resting.values())
         return phi, any(n > 1 for n in held.values())
 
     def apply_free(t: int) -> None:
@@ -47,7 +49,7 @@ def check_potential_deltas(trace: IOTrace,
             if rec[0] == "C":
                 mem[rec[1]].update(rec[3])
 
-    H = sum(1 for elems in ext.values() for e in elems if output_block_of(e) is not None)
+    H = len(last)
     bound = P * B * math.log2(2 * math.e) + P * B * math.log2(min(M, max(H / P, B)) / B)
     phi0, _ = sample()
     apply_free(0)
@@ -61,7 +63,8 @@ def check_potential_deltas(trace: IOTrace,
         for rec in records:
             if rec is not None and rec[0] == "O":
                 ext[rec[1]] = rec[2]
-                last.update((e, rec[1]) for e in rec[2])
+                last.update((e, rec[1]) for e in rec[2]
+                            if output_block_of(e) is not None)
         apply_free(t + 1)
         now, twice = sample()
         copies = copies or twice

@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+from pemshuffle import algorithms as alg
 from pemshuffle import cost_model as cm
 from pemshuffle import harness
 from pemshuffle.cli import main as cli_main
@@ -191,6 +193,69 @@ class TestObservers:
         assert len(loaded) == point["H"]
         assert ([output_block_of(e) for e in loaded]
                 == [r // point["B"] for r in range(point["H"])])
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back as it was after the test."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """A row runs with the cyclic collector paused, and leaves it as the
+    caller had it, however the row ends."""
+
+    POINT = {"N_M": 32, "N_R": 32, "H": 256, "v": 1, "w": 1, "P": 4, "M": 48, "B": 4}
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request, collector):
+        (gc.enable if request.param else gc.disable)()
+        return request.param
+
+    @pytest.mark.parametrize("algorithm,point,policy,status", [
+        ("complete_sort", POINT, "crew", "ok"),
+        ("complete_sort", dict(POINT, P=128), "crew", "skipped"),
+        ("direct_shuffle", POINT, "erew", "failed"),   # a PolicyViolation
+    ], ids=["ok", "skipped", "failed"])
+    def test_state_restored(self, collecting, algorithm, point, policy, status):
+        row = harness.run_point(algorithm, point, 0, policy)
+        assert row["status"] == status
+        assert gc.isenabled() is collecting
+
+    def test_state_restored_when_a_step_raises(self, monkeypatch, collecting):
+        def broken(*args):
+            raise RuntimeError("not a SimulationError")
+
+        monkeypatch.setattr(alg, "complete_sort", broken)
+        with pytest.raises(RuntimeError, match="not a SimulationError"):
+            harness.run_point("complete_sort", self.POINT, 0)
+        assert gc.isenabled() is collecting
+
+    def test_paused_while_the_pipeline_runs(self, monkeypatch, collecting):
+        seen = []
+        real = alg.complete_sort
+
+        def watching(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(alg, "complete_sort", watching)
+        assert harness.run_point("complete_sort", self.POINT, 0)["correct"] == "pass"
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize("algorithm", list(harness.PIPELINES))
+def test_rows_leave_no_reference_cycles(collector, algorithm):
+    """The premise of the pause: a row's objects are all freed by
+    reference counting, so a paused collector leaves nothing behind."""
+    point = {"N_M": 64, "N_R": 16, "H": 256, "v": 1, "w": 1, "P": 4, "M": 32, "B": 4}
+    gc.disable()   # no automatic pass may collect the row's cycles first
+    gc.collect()
+    assert harness.run_point(algorithm, point, 0)["correct"] == "pass"
+    assert gc.collect() == 0
 
 
 class TestCalibrate:

@@ -113,10 +113,8 @@ EDGE_POINTS = [dict(N_M=32, N_R=32, H=256, P=3, M=3, B=1),
 @pytest.mark.parametrize("point", EDGE_POINTS, ids=["b1", "b4", "p7"])
 def test_transposition_rows_at_edge_points(monkeypatch, name, point):
     """Container churn is highest at B=1, where every output block is one
-    element.  There phi is 0 at every boundary, and the reference's
-    O(steps * blocks) sums take seconds per pipeline, so only
-    ``direct_shuffle`` is held against it; the other three compare the
-    live tracker with the replay."""
+    element and phi is 0 at every boundary.  Every row is held against
+    the reference."""
     watched = []
     track = cm.track_potential
 
@@ -130,14 +128,7 @@ def test_transposition_rows_at_edge_points(monkeypatch, name, point):
     row = harness.run_point(name, dict(point, v=1, w=1), seed=0, policy=CREW)
     assert (row["status"], row["correct"], row["potential"]) == ("ok", "pass", "pass")
     assert len(watched) == 1
-    if point["B"] == 1 and name == "direct_shuffle":
-        assert assert_same_replay(*watched[0]).ok()
-    elif point["B"] == 1:
-        machine, out_of = watched[0]
-        trace, tracker = machine.observer.observers
-        cfg = machine.config
-        assert cm.check_potential_deltas(trace, machine.initial_image, out_of,
-                                         cfg.P, cfg.M, cfg.B) == tracker.report()
+    assert assert_same_replay(*watched[0]).ok()
 
 
 # -- hand-built P=2 CREW traces ---------------------------------------------------
