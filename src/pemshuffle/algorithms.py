@@ -70,10 +70,6 @@ class MetaRunSet:
     runs: tuple[Run, ...]
     rounds: int = 0
 
-    @property
-    def count(self) -> int:
-        return sum(r.count for r in self.runs)
-
 
 def merge_degree(H: int, P: int, B: int, M: int) -> int:
     """Merge fan-in: ceil(max(2, min(H/(PB), sqrt(H/P), M/B)))."""

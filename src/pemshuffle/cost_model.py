@@ -13,6 +13,7 @@ fed either live by a running machine or from a recorded ``IOTrace``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -31,8 +32,6 @@ PARALLEL = "parallel"
 MIXED = "mixed_column"
 COLUMN = "column_major"
 BEST_CASE = "best_case"
-
-LOG2E = math.log2(math.e)
 
 
 def lgb(b: float, x: float) -> float:
@@ -254,6 +253,13 @@ def scatter_gather_floor(params: Params) -> CostEstimate:
 
 
 # -- togetherness potential ---------------------------------------------------
+
+
+def output_blocks(elements: Iterable[Element], B: int) -> dict[Element, int]:
+    """Output block of each element of a transposition, its key rank // B,
+    as one int object per output block rather than per element."""
+    order = sorted(elements, key=lambda e: e.key)
+    return dict(zip(order, (o for o in itertools.count() for _ in range(B))))
 
 
 def potential(machine: Machine,

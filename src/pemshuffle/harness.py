@@ -19,12 +19,14 @@ import random
 from dataclasses import dataclass, field
 from . import algorithms as alg
 from . import cost_model as cm
-from .machine import (CREW, EREW, MachineConfig, SimulationError, create_machine,
-                      run_lockstep, write_out)
+from .machine import (CREW, EREW, Machine, MachineConfig, Region, SimulationError,
+                      create_machine, run_lockstep, write_out)
 from .primitives import gather, prefix_sum, scatter
 from .workload import (
     COLUMN_MAJOR,
     MIXED_COLUMN,
+    MapTask,
+    ShuffleInstance,
     elementary_products,
     generate,
     make_map_task,
@@ -177,6 +179,39 @@ _MAP_STEP = {
 }
 
 
+def load_pipeline(algorithm: str, instance: ShuffleInstance, vectors: list[list[int]],
+                  config: MachineConfig) -> tuple[Machine, Region, ShuffleInstance | MapTask]:
+    """A fresh machine holding a shuffle pipeline's input for ``instance``:
+    its triples, their elementary products for a parallel reduce, or the
+    vectors of its map task.  Returns the machine, the loaded region and
+    the input the pipeline runs on."""
+    pipe = PIPELINES[algorithm]
+    if pipe.layout is not None:
+        run_input = elementary_products(instance, vectors) if pipe.parallel_reduce else instance
+        machine, region = alg.machine_with_instance(config, run_input)
+    else:
+        run_input = make_map_task(instance, vectors if pipe.parallel_reduce else None)
+        machine, region = alg.machine_with_vectors(config, run_input)
+    return machine, region, run_input
+
+
+def run_pipeline(algorithm: str, instance: ShuffleInstance, machine: Machine, region: Region,
+                 run_input: ShuffleInstance | MapTask) -> tuple[Region, int | None]:
+    """Run a loaded shuffle pipeline's map-dependent step, then its reduce.
+    Returns the output region and the map step's meta-run count R (None
+    for a pipeline of one step)."""
+    pipe = PIPELINES[algorithm]
+    H, N_R, w, B = instance.H, instance.N_R, instance.w, machine.config.B
+    R = (alg.parallel_run_target(H, N_R, w, B) if pipe.parallel_reduce
+         else alg.nonparallel_run_target(H, N_R, B))
+    out = _MAP_STEP[pipe.cell[0]](machine, region, run_input, R)
+    if not isinstance(out, alg.MetaRunSet):
+        return out, None
+    if pipe.parallel_reduce:
+        return alg.finalize_parallel_reduce(machine, out, lambda a, b: a + b, 0, N_R, w), out.R
+    return alg.finalize_nonparallel_reduce(machine, out), out.R
+
+
 def _run_shuffle_pipeline(pipe: Pipeline, point: dict[str, int], seed: int,
                           policy: str) -> dict:
     N_M, N_R, H = point["N_M"], point["N_R"], point["H"]
@@ -184,51 +219,27 @@ def _run_shuffle_pipeline(pipe: Pipeline, point: dict[str, int], seed: int,
     config = MachineConfig(P=P, M=M, B=B, policy=policy)
     rng = random.Random((seed << 8) ^ 0x5EED)
     vectors = [[rng.randrange(1, 10) for _ in range(N_M)] for _ in range(v)]
-    row: dict = {"R": None, "d": alg.merge_degree(H, P, B, M)}
 
     inst = generate(N_M, N_R, H, v=v, w=w, layout=pipe.layout or COLUMN_MAJOR, seed=seed)
-    if pipe.layout is not None:
-        run_inst = elementary_products(inst, vectors) if pipe.parallel_reduce else inst
-        machine, region = alg.machine_with_instance(config, run_inst)
-    else:
-        run_inst = make_map_task(inst, vectors if pipe.parallel_reduce else None)
-        machine, region = alg.machine_with_vectors(config, run_inst)
+    machine, region, run_input = load_pipeline(pipe.name, inst, vectors, config)
     tracker = None
     if pipe.transposition:
-        order = sorted(machine.region_elements(region), key=lambda e: e.key)
-        # rank // B, as one int object per output block rather than per element
-        blocks = (o for o in itertools.count() for _ in range(B))
-        out_idx = dict(zip(order, blocks))
-        tracker = cm.track_potential(machine, out_idx.get)
-    R = (alg.parallel_run_target(H, N_R, w, B) if pipe.parallel_reduce
-         else alg.nonparallel_run_target(H, N_R, B))
-    out = _MAP_STEP[pipe.cell[0]](machine, region, run_inst, R)
-    if isinstance(out, alg.MetaRunSet):
-        row["R"] = out.R
-        if pipe.parallel_reduce:
-            out = alg.finalize_parallel_reduce(
-                machine, out, lambda a, b: a + b, 0, N_R, w)
-        else:
-            out = alg.finalize_nonparallel_reduce(machine, out)
+        blocks = cm.output_blocks(machine.region_elements(region), B)
+        tracker = cm.track_potential(machine, blocks.get)
+    out, R = run_pipeline(pipe.name, inst, machine, region, run_input)
 
-    # correctness verdict
+    # correctness verdict: a grid holds each (row, destination) cell once
     if pipe.parallel_reduce:
-        got = {e.key: e.payload for e in machine.region_elements(out)}
+        got = _key_payloads(machine.region_elements(out))
         expected = oracle_combined_mxv(inst, vectors)
-        ok = all(got.get((i + 1, l + 1), 0) == expected[l][i]
-                 for l in range(w) for i in range(N_R))
+        want = {(i + 1, l + 1): expected[l][i] for l in range(w) for i in range(N_R)}
+        ok = len(got) == len(want) and dict(got) == want
     else:
-        got_list = [e.payload for e in machine.region_elements(out)]
-        ok = got_list == oracle_shuffle(inst)
+        ok = [e.payload for e in machine.region_elements(out)] == oracle_shuffle(inst)
     machine.assert_memories_empty()
-    row["measured_io"] = machine.io_count
-    row["correct"] = "pass" if ok else "fail"
-
-    if tracker is None:
-        row["potential"] = "na"
-    else:
-        row["potential"] = "pass" if tracker.report().ok() else "fail"
-    return row
+    potential = "na" if tracker is None else "pass" if tracker.report().ok() else "fail"
+    return {"R": R, "d": alg.merge_degree(H, P, B, M), "measured_io": machine.io_count,
+            "correct": "pass" if ok else "fail", "potential": potential}
 
 
 def _key_payloads(elems) -> list[tuple]:
@@ -362,14 +373,8 @@ class Report:
         return [r for r in self.rows if r["status"] == "ok"]
 
     def all_pass(self) -> bool:
-        for r in self.rows:
-            if r["status"] == "failed":
-                return False
-            if r["status"] == "ok" and r["correct"] == "fail":
-                return False
-            if r["status"] == "ok" and r["potential"] == "fail":
-                return False
-        return True
+        return not any(r["status"] == "failed" or r["status"] == "ok"
+                       and "fail" in (r["correct"], r["potential"]) for r in self.rows)
 
 
 def run_sweep(spec: ExperimentSpec) -> Report:
@@ -497,28 +502,22 @@ def verify(spec: ExperimentSpec,
     report = run_sweep(spec)
     if constants is None:
         constants = calibrate(report, min_rows=1)
-    failures = []
     budget_failures = check_budgets(report, constants)
-    failures.extend(budget_failures)
     const_ok = all(v["C1"] <= 32 and v["C2"] <= 32 for v in constants.values())
-    if not const_ok:
-        failures.append(f"calibrated constants exceed 32: {constants}")
-    correctness_ok = all(r["correct"] != "fail" for r in report.rows)
-    potential_ok = all(r["potential"] != "fail" for r in report.rows)
     failed_rows = [r for r in report.rows if r["status"] == "failed"]
-    for r in failed_rows:
-        failures.append(f"{r['algorithm']} failed: {r['reason']}")
     bounds_failures = check_bounds_consistency(report)
-    failures.extend(bounds_failures)
-    verdicts = Verdicts(
+    failures = (budget_failures
+                + ([] if const_ok else [f"calibrated constants exceed 32: {constants}"])
+                + [f"{r['algorithm']} failed: {r['reason']}" for r in failed_rows]
+                + bounds_failures)
+    return report, Verdicts(
         budget_ok=not budget_failures and const_ok,
-        correctness_ok=correctness_ok and not failed_rows,
-        potential_ok=potential_ok,
+        correctness_ok=all(r["correct"] != "fail" for r in report.rows) and not failed_rows,
+        potential_ok=all(r["potential"] != "fail" for r in report.rows),
         bounds_ok=not bounds_failures,
         constants=constants,
         failures=failures,
     )
-    return report, verdicts
 
 
 def bounds_catalog(spec: ExperimentSpec) -> str:

@@ -24,6 +24,9 @@ import json
 import os
 import sys
 
+# run as a script, this file imports the package from the checkout's src/
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
 from observers import Tee
 from pemshuffle import cost_model as cm
 from pemshuffle.harness import (

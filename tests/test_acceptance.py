@@ -9,22 +9,15 @@ import pytest
 
 import acceptance_specs as specs
 from pemshuffle import cost_model as cm
-from pemshuffle.algorithms import (
-    complete_sort,
-    direct_shuffle,
-    finalize_nonparallel_reduce,
-    finalize_parallel_reduce,
-    machine_with_instance,
-    machine_with_vectors,
-    make_direct_plan,
-    meta_column_capacity,
-    nonparallel_run_target,
-    parallel_run_target,
-    prepare_parallel_map,
-    prepare_sorted_map,
-    prepare_unordered_map,
+from pemshuffle.algorithms import complete_sort, machine_with_instance, meta_column_capacity
+from pemshuffle.harness import (
+    PIPELINES,
+    Report,
+    _log_term,
+    load_pipeline,
+    run_pipeline,
+    run_sweep,
 )
-from pemshuffle.harness import PIPELINES, Report, _log_term, run_sweep
 from pemshuffle.machine import (
     CREW,
     EREW,
@@ -39,9 +32,7 @@ from pemshuffle.primitives import gather, prefix_sum, scatter
 from pemshuffle.workload import (
     COLUMN_MAJOR,
     MIXED_COLUMN,
-    elementary_products,
     generate,
-    make_map_task,
     oracle_combined_mxv,
     oracle_shuffle,
 )
@@ -69,6 +60,9 @@ def announce(n, name, ok, detail=""):
 def test_criterion_1_oracle_correctness():
     rng = random.Random(0xACCE5)
     sizes = [4, 8, 16, 32, 64, 128, 256]
+    # input layout and map type of each kind of case
+    kinds = [(MIXED_COLUMN, "unordered"), (COLUMN_MAJOR, "sorted"),
+             (COLUMN_MAJOR, "parallel_map")]
     t0 = time.time()
     cases = 0
     while cases < 200:
@@ -90,60 +84,23 @@ def test_criterion_1_oracle_correctness():
         kind = cases % 3
         seed = cases
         vectors = [[rng.randrange(1, 10) for _ in range(N_M)] for _ in range(v)]
-
-        if kind == 0:
-            inst = generate(N_M, N_R, H, v=v, w=w, layout=MIXED_COLUMN, seed=seed)
-            m, region = machine_with_instance(config, inst)
-            meta = prepare_unordered_map(m, region, inst, nonparallel_run_target(H, N_R, B))
-            out = finalize_nonparallel_reduce(m, meta)
-            assert [e.payload for e in m.region_elements(out)] == oracle_shuffle(inst)
-            prod = elementary_products(inst, vectors)
-            m2, region2 = machine_with_instance(config, prod)
-            meta2 = prepare_unordered_map(
-                m2, region2, prod, parallel_run_target(H, N_R, w, B))
-            grid = finalize_parallel_reduce(m2, meta2, lambda a, b: a + b, 0, N_R, w)
-        elif kind == 1:
-            inst = generate(N_M, N_R, H, v=v, w=w, layout=COLUMN_MAJOR, seed=seed)
-            m, region = machine_with_instance(config, inst)
-            meta = prepare_sorted_map(m, region, inst, nonparallel_run_target(H, N_R, B))
-            out = finalize_nonparallel_reduce(m, meta)
-            assert [e.payload for e in m.region_elements(out)] == oracle_shuffle(inst)
-            prod = elementary_products(inst, vectors)
-            m2, region2 = machine_with_instance(config, prod)
-            meta2 = prepare_sorted_map(
-                m2, region2, prod, parallel_run_target(H, N_R, w, B))
-            grid = finalize_parallel_reduce(m2, meta2, lambda a, b: a + b, 0, N_R, w)
-        else:
-            m_cap = meta_column_capacity(config, H)
-            if v > m_cap:
-                continue
-            inst = generate(N_M, N_R, H, v=v, w=w, layout=COLUMN_MAJOR, seed=seed)
-            task = make_map_task(inst)
-            m, vec = machine_with_vectors(config, task)
-            meta = prepare_parallel_map(m, vec, task, m_cap,
-                                        nonparallel_run_target(H, N_R, B))
-            out = finalize_nonparallel_reduce(m, meta)
-            assert [e.payload for e in m.region_elements(out)] == oracle_shuffle(inst)
-            task2 = make_map_task(inst, vectors)
-            m2, vec2 = machine_with_vectors(config, task2)
-            meta2 = prepare_parallel_map(m2, vec2, task2, m_cap,
-                                         parallel_run_target(H, N_R, w, B))
-            grid = finalize_parallel_reduce(m2, meta2, lambda a, b: a + b, 0, N_R, w)
-
+        if kind == 2 and v > meta_column_capacity(config, H):
+            continue
+        layout, map_type = kinds[kind]
+        inst = generate(N_M, N_R, H, v=v, w=w, layout=layout, seed=seed)
         expected = oracle_combined_mxv(inst, vectors)
-        got = {e.key: e.payload for e in m2.region_elements(grid)}
-        assert all(got[(i + 1, l + 1)] == expected[l][i]
-                   for l in range(w) for i in range(N_R)), "combined product mismatch"
-        m.assert_memories_empty()
-        m2.assert_memories_empty()
-
         # every instance also goes through direct shuffling and a full sort
-        m3, region3 = machine_with_instance(config, inst)
-        out3 = direct_shuffle(m3, region3, inst, make_direct_plan(inst))
-        assert [e.payload for e in m3.region_elements(out3)] == oracle_shuffle(inst)
-        m4, region4 = machine_with_instance(config, inst)
-        out4 = complete_sort(m4, region4, inst)
-        assert [e.payload for e in m4.region_elements(out4)] == oracle_shuffle(inst)
+        for name in (f"{map_type}_nonparallel", f"{map_type}_parallel",
+                     "direct_shuffle", "complete_sort"):
+            m, region, run_input = load_pipeline(name, inst, vectors, config)
+            out, _ = run_pipeline(name, inst, m, region, run_input)
+            if PIPELINES[name].parallel_reduce:
+                got = {e.key: e.payload for e in m.region_elements(out)}
+                assert all(got[(i + 1, l + 1)] == expected[l][i]
+                           for l in range(w) for i in range(N_R)), "combined product mismatch"
+            else:
+                assert [e.payload for e in m.region_elements(out)] == oracle_shuffle(inst)
+            m.assert_memories_empty()
         cases += 1
     elapsed = time.time() - t0
     announce(1, "oracle correctness, 200 random instances",
@@ -216,8 +173,7 @@ def test_criterion_4_potential_lemma(band_report):
         config = MachineConfig(P=2, M=8 * B, B=B)
         m, region = machine_with_instance(config, inst)
         m.observer = IOTrace(config.P)
-        order = sorted(m.region_elements(region), key=lambda e: e.key)
-        mapping = {e: rank // B for rank, e in enumerate(order)}
+        mapping = cm.output_blocks(m.region_elements(region), B)
         phi0 = cm.potential(m, mapping.get)
         if phi0 != 0.0:
             exact_ok = False

@@ -195,14 +195,16 @@ class TestCombined:
             assert combined.value >= cm.scatter_gather_floor(p).value - 1e-9
 
 
-def block_of(mapping):
-    return mapping.get
-
-
 def recording(machine):
     """The machine with an IOTrace attached, as the potential replay needs."""
     machine.observer = IOTrace(machine.config.P)
     return machine
+
+
+def loaded(cfg, inst):
+    """A recording machine holding the instance, its region and output blocks."""
+    m, region = machine_with_instance(cfg, inst)
+    return recording(m), region, cm.output_blocks(m.region_elements(region), cfg.B)
 
 
 class TestPotential:
@@ -210,17 +212,14 @@ class TestPotential:
         m = recording(create_machine(MachineConfig(P=1, M=12, B=4),
                                      [(0, [(i, i) for i in range(4)])]))
         mapping = {e: 0 for e in m.peek(0)}
-        assert cm.potential(m, block_of(mapping)) == pytest.approx(4 * math.log2(4))
+        assert cm.potential(m, mapping.get) == pytest.approx(4 * math.log2(4))
 
     def test_final_state_rating(self):
         inst = generate(8, 8, 64, regularity="both", layout=COLUMN_MAJOR, seed=1)
         cfg = MachineConfig(P=2, M=16, B=4)
-        m, region = machine_with_instance(cfg, inst)
-        recording(m)
-        order = sorted(m.region_elements(region), key=lambda e: e.key)
-        mapping = {e: r // cfg.B for r, e in enumerate(order)}
+        m, region, mapping = loaded(cfg, inst)
         out = complete_sort(m, region, inst)
-        assert cm.potential(m, block_of(mapping)) == pytest.approx(
+        assert cm.potential(m, mapping.get) == pytest.approx(
             64 * math.log2(cfg.B))
 
     def test_biregular_column_major_starts_at_zero(self):
@@ -230,30 +229,23 @@ class TestPotential:
             inst = generate(16, 8, 64, regularity="both",
                             layout=COLUMN_MAJOR, seed=seed)
             cfg = MachineConfig(P=2, M=16, B=4)
-            m, region = machine_with_instance(cfg, inst)
-            recording(m)
-            order = sorted(m.region_elements(region), key=lambda e: e.key)
-            mapping = {e: r // cfg.B for r, e in enumerate(order)}
-            assert cm.potential(m, block_of(mapping)) == 0.0
+            m, region, mapping = loaded(cfg, inst)
+            assert cm.potential(m, mapping.get) == 0.0
 
     def test_invariant_under_block_permutation(self):
         inst = generate(8, 8, 64, layout=COLUMN_MAJOR, seed=2)
         cfg = MachineConfig(P=2, M=16, B=4)
-        m1, r1 = machine_with_instance(cfg, inst)
-        recording(m1)
-        order = sorted(m1.region_elements(r1), key=lambda e: e.key)
-        mapping1 = {e: r // cfg.B for r, e in enumerate(order)}
-        phi1 = cm.potential(m1, block_of(mapping1))
+        m1, r1, mapping1 = loaded(cfg, inst)
+        phi1 = cm.potential(m1, mapping1.get)
         # same instance, elements permuted inside each block
         blocks = []
         for bi in range(r1.blocks):
             chunk = [((t.i, t.j), t) for t in inst.triples[bi * 4:(bi + 1) * 4]]
             blocks.append((bi, list(reversed(chunk))))
         m2 = recording(create_machine(cfg, blocks))
-        order2 = sorted((e for a, blk in m2.external_image().items()
-                         if a < 1 << 40 for e in blk), key=lambda e: e.key)
-        mapping2 = {e: r // cfg.B for r, e in enumerate(order2)}
-        assert cm.potential(m2, block_of(mapping2)) == pytest.approx(phi1)
+        mapping2 = cm.output_blocks((e for a, blk in m2.external_image().items()
+                                     if a < 1 << 40 for e in blk), cfg.B)
+        assert cm.potential(m2, mapping2.get) == pytest.approx(phi1)
 
     def test_co_destined_elements_held_at_a_step_boundary(self):
         f = lambda x: x * math.log2(x)
@@ -262,7 +254,7 @@ class TestPotential:
                                       (1, [(10 + i, i) for i in range(4)])]))
         a, b = m.peek(0), m.peek(1)
         mapping = dict(zip(a + b, [0, 0, 0, 1, 1, 1, 2, 2]))
-        phi = lambda: cm.potential(m, block_of(mapping))
+        phi = lambda: cm.potential(m, mapping.get)
         assert phi() == pytest.approx(f(3) + 2 * f(2))
         m.parallel_step([Input(0)])
         assert phi() == pytest.approx(f(3) + 2 * f(2))
@@ -280,7 +272,7 @@ class TestPotential:
                                       (1, [(10 + i, i) for i in range(2)])]))
         a, b = m.peek(0), m.peek(1)
         mapping = dict(zip(a + b, [0, 0, 0, 0, 1, 1]))
-        phi = lambda: cm.potential(m, block_of(mapping))
+        phi = lambda: cm.potential(m, mapping.get)
         assert phi() == pytest.approx(f(4) + f(2))
         m.parallel_step([Input(1)])
         m.parallel_step([Output(0, b)])
@@ -322,7 +314,7 @@ class TestPotentialDeltas:
         m.discard(0, r[0])
         m.discard(1, r[1])
         rep = cm.check_potential_deltas(m.observer, m.initial_image,
-                                        block_of(mapping), 2, 12, 4)
+                                        mapping.get, 2, 12, 4)
         assert rep.deltas[1] <= 1e-9
 
     def test_single_merging_input_delta(self):
@@ -335,22 +327,19 @@ class TestPotentialDeltas:
         m.parallel_step([Input(1)])
         m.parallel_step([Input(0)])
         rep = cm.check_potential_deltas(m.observer, m.initial_image,
-                                        block_of(mapping), 1, 12, 4)
+                                        mapping.get, 1, 12, 4)
         f = lambda n: n * math.log2(n) if n else 0.0
         assert rep.deltas[1] == pytest.approx(f(x + y) - f(x) - f(y))
 
     def test_full_transposition_within_bound(self):
         inst = generate(8, 8, 64, regularity="both", layout=COLUMN_MAJOR, seed=3)
         cfg = MachineConfig(P=2, M=16, B=4)
-        m, region = machine_with_instance(cfg, inst)
-        recording(m)
-        order = sorted(m.region_elements(region), key=lambda e: e.key)
-        mapping = {e: r // cfg.B for r, e in enumerate(order)}
-        phi0 = cm.potential(m, block_of(mapping))
+        m, region, mapping = loaded(cfg, inst)
+        phi0 = cm.potential(m, mapping.get)
         out = complete_sort(m, region, inst)
         assert [e.payload for e in m.region_elements(out)] == oracle_shuffle(inst)
         rep = cm.check_potential_deltas(m.observer, m.initial_image,
-                                        block_of(mapping), cfg.P, cfg.M, cfg.B)
+                                        mapping.get, cfg.P, cfg.M, cfg.B)
         assert rep.applicable and not rep.violations
         assert rep.bound == pytest.approx(
             cfg.P * cfg.B * math.log2(2 * math.e)
@@ -360,11 +349,8 @@ class TestPotentialDeltas:
     def test_telescoping_any_trace(self):
         inst = generate(16, 16, 128, layout="mixed_column", seed=4)
         cfg = MachineConfig(P=4, M=24, B=4)
-        m, region = machine_with_instance(cfg, inst)
-        recording(m)
-        order = sorted(m.region_elements(region), key=lambda e: e.key)
-        mapping = {e: r // cfg.B for r, e in enumerate(order)}
+        m, region, mapping = loaded(cfg, inst)
         complete_sort(m, region, inst)
         rep = cm.check_potential_deltas(m.observer, m.initial_image,
-                                        block_of(mapping), cfg.P, cfg.M, cfg.B)
+                                        mapping.get, cfg.P, cfg.M, cfg.B)
         assert rep.total_delta == pytest.approx(rep.phi_final - rep.phi_initial)

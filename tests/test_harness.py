@@ -12,6 +12,7 @@ from pemshuffle.harness import (
     ExperimentSpec,
     Report,
     calibrate,
+    check_bounds_consistency,
     parse_spec_text,
     run_sweep,
 )
@@ -95,6 +96,23 @@ class TestPrimitiveVerdicts:
         monkeypatch.setattr(harness, "scatter", partial)
         row = harness.run_point("prim_scatter", PRIMITIVE_POINT, 0)
         assert row["correct"] == "fail"
+
+
+@pytest.mark.parametrize("algorithm", ["unordered_parallel", "sorted_parallel",
+                                       "parallel_map_parallel"])
+def test_grid_without_its_identity_cells_fails(monkeypatch, algorithm):
+    hidden = []
+
+    def fed_cells_only(machine, grid, final, identity, N_R, w):
+        # the combined partials stand in for the grid: the cells no triple
+        # feeds, which hold the identity, are missing
+        hidden.append(N_R * w - len(machine.region_elements(final.region)))
+        return final.region
+
+    monkeypatch.setattr(alg, "_fill_grid", fed_cells_only)
+    point = {"N_M": 32, "N_R": 32, "H": 64, "v": 1, "w": 2, "P": 2, "M": 16, "B": 4}
+    row = harness.run_point(algorithm, point, 0)
+    assert hidden[0] > 0 and (row["status"], row["correct"]) == ("ok", "fail")
 
 
 class TestSweep:
@@ -258,6 +276,15 @@ def test_rows_leave_no_reference_cycles(collector, algorithm):
     assert gc.collect() == 0
 
 
+class TestReport:
+    @pytest.mark.parametrize("key,value", [("status", "failed"), ("correct", "fail"),
+                                           ("potential", "fail")])
+    def test_all_pass_fails_on(self, key, value):
+        row = {"status": "ok", "correct": "pass", "potential": "pass"}
+        assert Report([row]).all_pass()
+        assert not Report([row, dict(row, **{key: value})]).all_pass()
+
+
 class TestCalibrate:
     def synthetic(self, rows):
         return Report(rows=[{"algorithm": "x", "status": "ok", "P": 4,
@@ -316,6 +343,24 @@ class TestVerifyAndBounds:
         report, verdicts = harness.verify(spec)
         assert verdicts.all_ok(), verdicts.failures
 
+    def test_budget_failures(self):
+        spec = parse_spec_text(SMALL_GRID)
+        spec.algorithms = ["complete_sort", "direct_shuffle"]
+        constants = {"complete_sort": {"C1": 0.0, "C2": 40.0}}
+        _, verdicts = harness.verify(spec, constants)
+        assert (verdicts.budget_ok, verdicts.correctness_ok) == (False, True)
+        assert verdicts.failures == [
+            "complete_sort seed=0 H=256: 96 > 80.00",
+            *["direct_shuffle: no calibrated constants"] * 2,
+            f"calibrated constants exceed 32: {constants}"]
+
+    def test_bounds_consistency_failure(self):
+        row = dict(PRIMITIVE_POINT, status="ok", leading_term=1.0, P=4)
+        assert check_bounds_consistency(Report([row])) == []
+        failures = check_bounds_consistency(Report([row]), K=0.5)
+        assert len(failures) == 5 and failures[0] == (
+            "thm1:mixed vs table1:unordered/parallel at H=128 P=4: 8.0 > 0.5*(8.0+2.0)")
+
     def test_bounds_catalog_shape(self):
         spec = parse_spec_text(SMALL_GRID)
         text = harness.bounds_catalog(spec)
@@ -362,6 +407,23 @@ class TestCli:
     def test_verify_cli(self, tmp_path):
         grid = self.write_grid(tmp_path)
         assert cli_main(["verify", "--grid", grid]) == 0
+
+    def test_calibrate_cli_too_few_rows(self, tmp_path, capsys):
+        assert cli_main(["calibrate", "--grid", self.write_grid(tmp_path)]) == 1
+        assert capsys.readouterr() == (
+            "", "calibration failed: complete_sort: 2 rows, need at least 10\n")
+
+    def test_verify_cli_failed_erew_rows(self, tmp_path, capsys):
+        assert cli_main(["verify", "--grid", self.write_grid(tmp_path), "--policy", "erew",
+                         "--algorithms", "direct_shuffle"]) == 1
+        assert capsys.readouterr() == (
+            "budget: pass\ncorrectness: FAIL\npotential: pass\nbounds: pass\n",
+            "  direct_shuffle failed: EREW: concurrent access to one block\n" * 2)
+
+    def test_verify_cli_writes_csv(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert cli_main(["verify", "--grid", self.write_grid(tmp_path), "--out", str(out)]) == 0
+        assert out.read_text() == run_sweep(parse_spec_text(SMALL_GRID)).to_csv()
 
     def test_bounds_cli(self, tmp_path):
         grid = self.write_grid(tmp_path)

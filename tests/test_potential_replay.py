@@ -15,11 +15,10 @@ import pytest
 
 import phi_reference
 from observers import Tee
-from pemshuffle import algorithms as alg
 from pemshuffle import cost_model as cm
 from pemshuffle import harness
 from pemshuffle.machine import CREW, Input, IOTrace, MachineConfig, Output, create_machine
-from pemshuffle.workload import COLUMN_MAJOR, MIXED_COLUMN, generate
+from pemshuffle.workload import generate
 
 TOL = 1e-9
 
@@ -50,21 +49,11 @@ def assert_same_replay(machine, out_of):
 
 
 def run_pipeline(name, N_M, N_R, H, P, M, B):
-    layout = COLUMN_MAJOR if name == "sorted_nonparallel" else MIXED_COLUMN
-    inst = generate(N_M, N_R, H, layout=layout, seed=1)
-    m, region = alg.machine_with_instance(MachineConfig(P=P, M=M, B=B), inst)
-    order = sorted(m.region_elements(region), key=lambda e: e.key)
-    out_of = {e: rank // B for rank, e in enumerate(order)}.get
+    inst = generate(N_M, N_R, H, layout=harness.PIPELINES[name].layout, seed=1)
+    m, region, run_input = harness.load_pipeline(name, inst, [], MachineConfig(P=P, M=M, B=B))
+    out_of = cm.output_blocks(m.region_elements(region), B).get
     watch(m, out_of)
-    if name == "direct_shuffle":
-        alg.direct_shuffle(m, region, inst)
-    elif name == "complete_sort":
-        alg.complete_sort(m, region, inst)
-    else:
-        prepare = (alg.prepare_sorted_map if name == "sorted_nonparallel"
-                   else alg.prepare_unordered_map)
-        meta = prepare(m, region, inst, alg.nonparallel_run_target(H, N_R, B))
-        alg.finalize_nonparallel_reduce(m, meta)
+    harness.run_pipeline(name, inst, m, region, run_input)
     return m, out_of
 
 
