@@ -388,20 +388,27 @@ def _column_runs(machine: Machine, region: Region) -> list[Run]:
     return [Run(region, lo, hi) for lo, hi in _key_stretches(elems, 1)]
 
 
-def _columns_beat_sorting(cfg: MachineConfig, H: int, columns: Sequence[Run],
-                          R: int, fanin: int) -> bool:
-    """Whether merging the presorted columns down to R runs is estimated
-    no dearer than sorting from scratch: one formation pass plus the
-    merge passes of the formed runs.  The estimate counts merge passes
-    only."""
-    def passes(n: int) -> int:
-        count = 0
-        while n > R:
-            n = ceil_div(n, fanin)
-            count += 1
-        return count
+def _merge_passes(n: int, target: int, fanin: int) -> tuple[int, int]:
+    """Whole merge passes that take n runs to at most ``target``, and the
+    runs they leave."""
+    passes = 0
+    while n > target:
+        n = ceil_div(n, fanin)
+        passes += 1
+    return passes, n
 
-    return passes(len(columns)) <= 1 + passes(cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M))
+
+def _columns_beat_sorting(cfg: MachineConfig, H: int, n_columns: int,
+                          R: int, fanin: int) -> bool:
+    """Whether a processor's column pieces merge cheaper than its share
+    sorted from scratch.  Load balancing costs the column path about the
+    pass that run formation costs the sorting path, so columns win only
+    with strictly fewer local merge passes that leave no more runs."""
+    target = max(1, R // cfg.P)
+    col_passes, col_runs = _merge_passes(ceil_div(n_columns, cfg.P) + 1, target, fanin)
+    sort_passes, sort_runs = _merge_passes(
+        ceil_div(ceil_div(H, cfg.P), cfg.M), target, fanin)
+    return col_passes < sort_passes and col_runs <= sort_runs
 
 
 def prepare_sorted_map(machine: Machine, region: Region,
@@ -410,8 +417,8 @@ def prepare_sorted_map(machine: Machine, region: Region,
 
     Thin rows (H/N_R < B) fall back to the unordered-map algorithm, as
     do instances with more columns than pairs, which load balancing
-    cannot split, and instances whose columns are so short that sorting
-    from scratch is estimated cheaper than merging them.
+    cannot split, and instances where sorting each processor's share
+    from scratch is estimated cheaper than merging its column pieces.
     """
     if instance.layout != COLUMN_MAJOR:
         raise SimulationError(
@@ -427,7 +434,7 @@ def prepare_sorted_map(machine: Machine, region: Region,
     if len(columns) <= R:
         return MetaRunSet(R, tuple(columns), 0)
     if (H < instance.N_R * cfg.B or H < instance.N_M
-            or not _columns_beat_sorting(cfg, H, columns, R, fanin)):
+            or not _columns_beat_sorting(cfg, H, len(columns), R, fanin)):
         return _sort_to_runs(machine, region, H, R, d)
 
     spans = range_bounded_load_balance(
@@ -898,8 +905,12 @@ def complete_sort(machine: Machine, region: Region,
     if instance.layout == ROW_MAJOR and _sorted_scan(machine, region):
         return region
     if instance.layout == COLUMN_MAJOR:
+        # merging all columns at once against one formation pass plus
+        # the merge passes of the formed runs
         columns = _column_runs(machine, region)
-        if _columns_beat_sorting(cfg, H, columns, 1, _effective_fanin(cfg, d)):
+        fanin = _effective_fanin(cfg, d)
+        formed = cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M)
+        if _merge_passes(len(columns), 1, fanin)[0] <= 1 + _merge_passes(formed, 1, fanin)[0]:
             if len(columns) == 1:
                 return region
             meta = parallel_merge_to_R(machine, columns, 1, d, validate=False)

@@ -212,6 +212,12 @@ def run_pipeline(algorithm: str, instance: ShuffleInstance, machine: Machine, re
     return alg.finalize_nonparallel_reduce(machine, out), out.R
 
 
+def _instance_layout(pipe: Pipeline) -> str:
+    """Layout of the instance a pipeline's rows draw: its own, or
+    column-major for a map task."""
+    return pipe.layout or COLUMN_MAJOR
+
+
 def _run_shuffle_pipeline(pipe: Pipeline, point: dict[str, int], seed: int,
                           policy: str) -> dict:
     N_M, N_R, H = point["N_M"], point["N_R"], point["H"]
@@ -220,7 +226,7 @@ def _run_shuffle_pipeline(pipe: Pipeline, point: dict[str, int], seed: int,
     rng = random.Random((seed << 8) ^ 0x5EED)
     vectors = [[rng.randrange(1, 10) for _ in range(N_M)] for _ in range(v)]
 
-    inst = generate(N_M, N_R, H, v=v, w=w, layout=pipe.layout or COLUMN_MAJOR, seed=seed)
+    inst = generate(N_M, N_R, H, v=v, w=w, layout=_instance_layout(pipe), seed=seed)
     machine, region, run_input = load_pipeline(pipe.name, inst, vectors, config)
     tracker = None
     if pipe.transposition:
@@ -378,11 +384,17 @@ class Report:
 
 
 def run_sweep(spec: ExperimentSpec) -> Report:
-    """Cross grid x algorithms x seeds; one self-contained row each."""
+    """Cross grid x algorithms x seeds; one self-contained row each.
+
+    Each (point, seed)'s rows run grouped by instance layout, so the
+    pipelines of one layout follow each other and share ``generate``'s
+    last draw.
+    """
+    by_layout = sorted(spec.algorithms, key=lambda a: _instance_layout(PIPELINES[a]))
     rows = []
     for point in spec.points():
-        for algorithm in spec.algorithms:
-            for seed in spec.seeds:
+        for seed in spec.seeds:
+            for algorithm in by_layout:
                 rows.append(run_point(algorithm, point, seed, spec.policy))
     rows.sort(key=lambda r: (r["algorithm"], r["seed"],
                              tuple(r[k] for k in GRID_KEYS)))

@@ -83,6 +83,10 @@ def _sample_positions(rng: random.Random, N_M: int, N_R: int, H: int,
     raise GenerationError(f"unknown regularity {regularity!r}")
 
 
+# The last (arguments, instance) that ``generate`` returned.
+_last_drawn: tuple | None = None
+
+
 def generate(N_M: int, N_R: int, H: int, v: int = 1, w: int = 1,
              layout: str = MIXED_COLUMN, regularity: str | None = None,
              seed: int = 0) -> ShuffleInstance:
@@ -92,7 +96,16 @@ def generate(N_M: int, N_R: int, H: int, v: int = 1, w: int = 1,
     regularity (exactly H/N_M per column and/or H/N_R per row, which
     requires the matching divisibility).  Values are distinct integers
     so element identity survives reordering.
+
+    The last result is kept and returned again, the same object, for a
+    repeated call with equal arguments, so consecutive pipelines on one
+    instance share a single draw.  Instances are immutable.
     """
+    global _last_drawn
+    args = (N_M, N_R, H, v, w, layout, regularity, seed)
+    last = _last_drawn      # read once: another thread may replace it
+    if last is not None and last[0] == args:
+        return last[1]
     if H < 1 or H > N_M * N_R:
         raise GenerationError(f"H={H} infeasible for a {N_R}x{N_M} matrix")
     if v < 1 or w < 1:
@@ -104,6 +117,7 @@ def generate(N_M: int, N_R: int, H: int, v: int = 1, w: int = 1,
     if layout not in LAYOUTS:
         raise GenerationError(f"unknown layout {layout!r}")
 
+    _last_drawn = None   # never hold two instances at once
     rng = random.Random(seed)
     positions = _sample_positions(rng, N_M, N_R, H, regularity)
     values = list(range(1, H + 1))
@@ -118,7 +132,9 @@ def generate(N_M: int, N_R: int, H: int, v: int = 1, w: int = 1,
         triples.sort(key=lambda t: (t.j, t.i))
     else:
         triples.sort(key=lambda t: (t.i, t.j))
-    return ShuffleInstance(N_M, N_R, H, v, w, layout, tuple(triples), seed)
+    instance = ShuffleInstance(N_M, N_R, H, v, w, layout, tuple(triples), seed)
+    _last_drawn = (args, instance)
+    return instance
 
 
 # -- oracles ---------------------------------------------------------------

@@ -229,14 +229,26 @@ def regenerate_golden() -> dict[str, str]:
     return golden_io(texts[GOLDEN_SWEEP_PATH])
 
 
+def io_change(old: str | None, new: str | None) -> int | None:
+    """Signed change of a row's I/O count; None unless both are counts."""
+    if old and new and old.isdigit() and new.isdigit():
+        return int(new) - int(old)
+    return None
+
+
 def check_golden() -> int:
-    """Compare the recomputed golden files with the frozen ones; 1 if any differ."""
+    """Compare the recomputed golden files with the frozen ones; 1 if any
+    differ.  The last line tallies the moved rows by direction."""
     texts = golden_texts()
     golden = golden_io(texts[GOLDEN_SWEEP_PATH])
     frozen = golden_io(frozen_text(GOLDEN_SWEEP_PATH))
+    changes = []
     for k in sorted(frozen.keys() | golden.keys()):
         if frozen.get(k) != golden.get(k):
-            print(f"moved: {k}: {frozen.get(k)} -> {golden.get(k)}")
+            change = io_change(frozen.get(k), golden.get(k))
+            changes.append(change)
+            signed = "?" if change is None else f"{change:+d}"
+            print(f"moved: {k}: {frozen.get(k)} -> {golden.get(k)} ({signed})")
     traces = json.loads(texts[GOLDEN_TRACES_PATH])
     frozen_traces = (json.loads(frozen_text(GOLDEN_TRACES_PATH))
                      if os.path.exists(GOLDEN_TRACES_PATH) else {})
@@ -247,6 +259,9 @@ def check_golden() -> int:
               if not os.path.exists(path) or frozen_text(path) != text]
     for path in differ:
         print(f"differs: {os.path.relpath(path)}")
+    down = sum(1 for c in changes if c is not None and c < 0)
+    up = sum(1 for c in changes if c is not None and c > 0)
+    print(f"moved {len(changes)} rows: {down} down, {up} up")
     return 1 if differ else 0
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pemshuffle import algorithms as alg
 from pemshuffle.algorithms import (
     MetaRunSet,
     Run,
@@ -25,6 +26,7 @@ from pemshuffle.algorithms import (
     run_elements,
     tile_table,
 )
+from pemshuffle.harness import run_point
 from pemshuffle.machine import (
     MachineConfig,
     Output,
@@ -212,6 +214,27 @@ class TestPrepareSorted:
         m, region = machine_with_instance(cfg, inst)
         meta = prepare_sorted_map(m, region, inst, nonparallel_run_target(128, 8, 4))
         assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
+
+    # (point, forced-column counts, forced-sorting counts) of the
+    # (sorted_nonparallel, sorted_parallel) rows at seed 0: at TIGHT
+    # H=4096 sorting is cheaper, at the second point the columns are
+    @pytest.mark.parametrize("point, columns, sorting", [
+        (dict(N_M=128, N_R=32, H=4096, v=1, w=1, P=8, M=24, B=4), (2357, 1440), (1676, 919)),
+        (dict(N_M=8, N_R=256, H=2048, v=1, w=1, P=4, M=24, B=4), (2058, 1010), (2312, 1264)),
+    ])
+    def test_picks_the_cheaper_path(self, monkeypatch, point, columns, sorting):
+        def counts():
+            return tuple(run_point(a, point, 0)["measured_io"]
+                         for a in ("sorted_nonparallel", "sorted_parallel"))
+
+        chosen = counts()
+        forced = {}
+        for use_columns in (True, False):
+            monkeypatch.setattr(alg, "_columns_beat_sorting",
+                                lambda *args, use=use_columns: use)
+            forced[use_columns] = counts()
+        assert (forced[True], forced[False]) == (columns, sorting)
+        assert chosen == tuple(map(min, columns, sorting))
 
 
 class TestPrepareParallelMap:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import acceptance_specs as specs
 from pemshuffle import algorithms as alg
 from pemshuffle import cost_model as cm
 from pemshuffle import harness
@@ -16,7 +17,7 @@ from pemshuffle.harness import (
     parse_spec_text,
     run_sweep,
 )
-from pemshuffle.machine import Machine
+from pemshuffle.machine import Machine, SimulationError
 
 SMALL_GRID = """
 # two-point grid
@@ -155,6 +156,29 @@ class TestSweep:
         point = {"N_M": 512, "N_R": 4, "H": 64, "v": 1, "w": 1, "P": 1, "M": 12, "B": 1}
         row = harness.run_point(algorithm, point, 0)
         assert (row["status"], row["correct"]) == ("ok", "pass")
+
+
+class TestInstanceSharing:
+    """Rows on one instance share a draw; the pipelines are not run."""
+
+    @pytest.fixture(autouse=True)
+    def no_pipeline(self, monkeypatch):
+        def not_run(*args):
+            raise SimulationError("not run")
+
+        monkeypatch.setattr(harness, "load_pipeline", not_run)
+
+    def test_sweep_draws_once_per_point_and_layout(self, draws):
+        run_sweep(specs.BAND_SPEC)
+        assert draws == [(256, 64, H) for H in specs.BAND_SPEC.grid["H"] for _ in range(2)]
+
+    def test_each_round_of_the_h16_reduce_rows_draws_two(self, draws):
+        point = dict(N_M=1024, N_R=256, H=1 << 16, v=2, w=2, P=8, M=128, B=16)
+        for rounds in (1, 2):
+            for algorithm in ("unordered_parallel", "sorted_parallel",
+                              "parallel_map_parallel", "parallel_map_nonparallel"):
+                harness.run_point(algorithm, point, 0)
+            assert len(draws) == 2 * rounds
 
 
 class TestObservers:

@@ -93,6 +93,33 @@ class TestGenerate:
                 assert abs(counts[j][i] / trials - 0.25) <= 0.05
 
 
+class TestLastDrawKept:
+    def test_repeated_call_returns_the_same_object(self, draws):
+        a = generate(16, 8, 64, v=2, layout=COLUMN_MAJOR, seed=3)
+        assert generate(16, 8, 64, v=2, layout=COLUMN_MAJOR, seed=3) is a
+        assert len(draws) == 1
+
+    def test_only_the_last_result_is_kept(self, draws):
+        a = generate(16, 8, 64, seed=3)
+        b = generate(16, 8, 64, seed=4)
+        again = generate(16, 8, 64, seed=3)
+        assert again == a and again is not a and b != a
+        assert len(draws) == 3
+
+    def test_failed_call_keeps_nothing(self, draws):
+        a = generate(16, 8, 64, seed=3)
+        for _ in range(2):
+            with pytest.raises(GenerationError):
+                generate(2, 2, 5)
+        assert generate(16, 8, 64, seed=3) is a
+        # a draw that fails has already let the last result go
+        for _ in range(2):
+            with pytest.raises(GenerationError):
+                generate(16, 8, 64, regularity="diagonal", seed=3)
+        assert generate(16, 8, 64, seed=3) == a
+        assert len(draws) == 4
+
+
 class TestOracles:
     def test_row_major_identity(self):
         inst = generate(8, 8, 40, layout=ROW_MAJOR, seed=6)
