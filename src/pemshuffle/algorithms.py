@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,7 +28,6 @@ from .machine import (
     ceil_div,
     create_machine,
     each_share,
-    exchange,
     run_lockstep,
     write_out,
 )
@@ -35,7 +35,6 @@ from .primitives import contract, prefix_sum, range_bounded_load_balance
 from .workload import (
     COLUMN_MAJOR,
     MIXED_COLUMN,
-    ROW_MAJOR,
     MapTask,
     ShuffleInstance,
     instance_blocks,
@@ -66,7 +65,6 @@ class Run:
 class MetaRunSet:
     """R-or-fewer sorted runs jointly holding the instance's triples."""
 
-    R: int
     runs: tuple[Run, ...]
     rounds: int = 0
 
@@ -297,7 +295,7 @@ def parallel_merge_to_R(machine: Machine, runs: Sequence[Run], R: int,
                 mi += 1
         runs = nxt
         rounds += 1
-    return MetaRunSet(R, tuple(runs), rounds)
+    return MetaRunSet(tuple(runs), rounds)
 
 
 # -- local (single-processor) sorting ----------------------------------------
@@ -432,7 +430,7 @@ def prepare_sorted_map(machine: Machine, region: Region,
 
     columns = _column_runs(machine, region)
     if len(columns) <= R:
-        return MetaRunSet(R, tuple(columns), 0)
+        return MetaRunSet(tuple(columns))
     if (H < instance.N_R * cfg.B or H < instance.N_M
             or not _columns_beat_sorting(cfg, H, len(columns), R, fanin)):
         return _sort_to_runs(machine, region, H, R, d)
@@ -462,23 +460,21 @@ def meta_column_capacity(config: MachineConfig, H: int) -> int:
 
 
 def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
-                         m: int, R: int) -> MetaRunSet:
+                         R: int) -> MetaRunSet:
     """Run the map phase itself: emit meta-columns row-wise, then merge.
 
     Input vectors sit column-major in ``vec_region``; each processor
     pins the input elements of a whole meta-column (m/v columns) while
-    emitting that meta-column's pairs in row order.  Pairs outside a
-    processor's assigned slice are dropped without any I/O.
+    emitting that meta-column's pairs in row order, m being
+    ``meta_column_capacity``.  Pairs outside a processor's assigned
+    slice are dropped without any I/O.
     """
     cfg = machine.config
     B = cfg.B
-    if m < B:
-        raise SimulationError(f"meta-column capacity m={m} below block size {B}")
-    if m > cfg.M - B:
-        raise SimulationError(f"meta-column capacity m={m} exceeds M-B")
+    _require_block_parallelism(task.H, cfg)
+    m = meta_column_capacity(cfg, task.H)
     if task.v > m:
         raise SimulationError(f"v={task.v} input vectors exceed capacity m={m}")
-    _require_block_parallelism(task.H, cfg)
     cols_per_mc = max(1, m // task.v)
     n_mc = ceil_div(task.N_M, cols_per_mc)
 
@@ -496,7 +492,7 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
             machine.discard(p, block)
 
     each_share(machine, vec_region.blocks, discover)
-    prefix_sum(machine, counts, lambda a, b: a + b)
+    prefix_sum(machine, counts)
 
     # Meta-column formation: emit row-sorted pairs into block-aligned
     # slices per processor so writes never collide.
@@ -564,14 +560,6 @@ def _span_blocks(runs: Sequence[Run], lo: int, hi: int, B: int):
             yield ri, run.region.addr(bi), base, win_lo, win_hi
 
 
-def _copy_run(machine: Machine, run: Run) -> Region:
-    out = machine.alloc_region(run.count)
-    copy = _merge_task(machine, 0, [(run.region, run.lo, run.hi)],
-                       list(out.addrs()), run.count)
-    run_lockstep(machine, [copy])
-    return out
-
-
 @dataclass(frozen=True)
 class Tile:
     """Elements of one row inside one meta-run."""
@@ -607,13 +595,10 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
     runs = [r for r in meta.runs if r.count > 0]
     if not runs:
         return machine.alloc_region(0)
-    if len(runs) == 1:
-        run = runs[0]
-        if run.lo == 0 and run.hi == run.region.count:
-            return run.region
-        return _copy_run(machine, run)
+    if len(runs) == 1 and runs[0].lo == 0 and runs[0].hi == runs[0].region.count:
+        return runs[0].region   # already row-major and dense
     H = sum(r.count for r in runs)
-    tiles = tile_table(machine, MetaRunSet(meta.R, tuple(runs)))
+    tiles = tile_table(machine, MetaRunSet(tuple(runs)))
     T = len(tiles)
     start_of_tile = {t.start: ti for ti, t in enumerate(tiles)}
 
@@ -658,7 +643,7 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
             local_blocks[p] += ceil_div(size, B)
 
     each_share(machine, T, size_script)
-    ends = prefix_sum(machine, local_blocks, lambda a, b: a + b)
+    ends = prefix_sum(machine, local_blocks)
     dest: dict[int, int] = {}   # tile -> first staging block, as written to D
 
     def dest_script(p: int, lo: int, hi: int):
@@ -696,22 +681,21 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
     return contract(machine, staging)
 
 
-def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet,
-                             reduce_op: Callable, identity, N_R: int,
+def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet, N_R: int,
                              w: int) -> Region:
-    """Reduce meta-runs into the dense (row, destination) result grid.
+    """Sum meta-runs into the dense (row, destination) result grid.
 
-    Processors stream even shares of the meta-runs, folding each row's
-    values per destination on the fly; the per-fragment partial results
+    Processors stream even shares of the meta-runs, summing each row's
+    values per destination on the fly; the per-fragment partial sums
     are then merged with combining down to one run and expanded into an
-    N_R x w grid (identity-filled where no triple contributed).
+    N_R x w grid (0 where no triple contributed).
     """
     B = machine.config.B
     runs = [r for r in meta.runs if r.count > 0]
     H = sum(r.count for r in runs)
     grid = machine.alloc_region(N_R * w)
     if not runs:
-        return _fill_grid(machine, grid, None, identity, N_R, w)
+        return _fill_grid(machine, grid, None, N_R, w)
     offsets = [0, *itertools.accumulate(r.count for r in runs)]
 
     frags: dict[tuple[int, int], Run] = {}   # (meta-run, processor) -> partials
@@ -742,8 +726,7 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet,
                         yield from emit_row()
                         row = e.key[0]
                     dest = e.payload.l
-                    row_acc[dest] = (reduce_op(row_acc[dest], e.payload.value)
-                                     if dest in row_acc else e.payload.value)
+                    row_acc[dest] = row_acc.get(dest, 0) + e.payload.value
                     machine.discard(p, (e,))
             yield from emit_row()
             frags[(ri, p)] = Run(frag, 0, blk * B + len(outbuf))
@@ -757,13 +740,13 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet,
     # fold order equal to the original sequence order per key.
     segments = [frags[k] for k in sorted(frags)]
     merged = parallel_merge_to_R(machine, segments, 1,
-                                 combine=reduce_op, validate=False)
+                                 combine=operator.add, validate=False)
     final = merged.runs[0] if merged.runs else None
-    return _fill_grid(machine, grid, final, identity, N_R, w)
+    return _fill_grid(machine, grid, final, N_R, w)
 
 
 def _fill_grid(machine: Machine, grid: Region, final: Run | None,
-               identity, N_R: int, w: int) -> Region:
+               N_R: int, w: int) -> Region:
     """Expand combined partials into the dense (row, dest) grid."""
     B = machine.config.B
     total = N_R * w
@@ -792,7 +775,7 @@ def _fill_grid(machine: Machine, grid: Region, final: Run | None,
                 if g in held:
                     cells.append(held[g])
                 else:
-                    cells.append(machine.create(p, (g // w + 1, g % w + 1), identity))
+                    cells.append(machine.create(p, (g // w + 1, g % w + 1), 0))
             yield from write_out(machine, p, grid.addr(bi), cells)
 
     each_share(machine, grid.blocks, fill_script)
@@ -853,57 +836,17 @@ def direct_shuffle(machine: Machine, region: Region, instance: ShuffleInstance,
     return out
 
 
-def _sorted_scan(machine: Machine, region: Region) -> bool:
-    """Scan the region in parallel and verify global key order."""
-    cfg = machine.config
-    P = cfg.P
-    local_ok = [True] * P
-    firsts: list = [None] * P
-    lasts: list = [None] * P
-
-    def scan(p: int, blo: int, bhi: int):
-        prev = None
-        for bi in range(blo, bhi):
-            block = yield Input(region.addr(bi))
-            for e in block:
-                if prev is not None and prev > e.key:
-                    local_ok[p] = False
-                if firsts[p] is None:
-                    firsts[p] = e.key
-                prev = e.key
-            machine.discard(p, block)
-        lasts[p] = prev
-
-    each_share(machine, region.blocks, scan)
-    ok = all(local_ok)
-    active = [p for p in range(P) if firsts[p] is not None]
-    if len(active) > 1:
-        msgs = [(a, b, (machine.create(a, ("bound", a), lasts[a]),))
-                for a, b in zip(active, active[1:])]
-        results = exchange(machine, msgs)
-        for a, b, sent in msgs:
-            got = results[b][0]
-            if got.payload > firsts[b]:
-                ok = False
-            machine.discard(b, (got,))
-            machine.discard(a, sent)
-    return ok
-
-
 def complete_sort(machine: Machine, region: Region,
                   instance: ShuffleInstance) -> Region:
     """Sort the whole instance row-wise, whatever its layout.
 
-    Row-major input passes with a scan-and-check; column major merges
-    the presorted columns when profitable; everything else goes through
-    the full parallel merge sort.
+    Column major merges the presorted columns when profitable;
+    everything else goes through the full parallel merge sort.
     """
     cfg = machine.config
     H = instance.H
     _require_block_parallelism(H, cfg)
     d = merge_degree(H, cfg.P, cfg.B, cfg.M)
-    if instance.layout == ROW_MAJOR and _sorted_scan(machine, region):
-        return region
     if instance.layout == COLUMN_MAJOR:
         # merging all columns at once against one formation pass plus
         # the merge passes of the formed runs

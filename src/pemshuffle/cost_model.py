@@ -1,7 +1,7 @@
 """Model requirements, closed-form parallel I/O bounds, togetherness potential.
 
 Upper bounds follow the complexity table of the shuffle algorithms
-(leading terms, with the log P additive term reported separately);
+(leading terms; a sweep row reports the additive log P term apart);
 lower bounds cover the combined matrix-vector product for the three
 layouts, matrix creation from vectors, the transposition potential
 argument and their combinations.  Logarithms are base 2 wherever a
@@ -110,11 +110,9 @@ def unmet_requirements(params: Params, scopes: tuple[str, ...]) -> Iterator[Requ
 @dataclass(frozen=True)
 class CostEstimate:
     value: float | None
-    kind: str                  # "upper" | "lower"
     formula_id: str
     valid: bool = True
     reason: str = ""           # failed precondition name when invalid
-    log_p_term: float = 0.0    # additive term kept out of the leading value
 
 
 def _d(params: Params) -> float:
@@ -133,19 +131,15 @@ def table1_upper(params: Params, map_type: str,
                  reduce_type: str | None = None) -> CostEstimate:
     """Leading upper-bound term for one algorithm variant.
 
-    The additive O(log P) term every variant carries is reported
-    separately in ``log_p_term``.
+    The additive O(log P) term every variant carries is left out.
     """
     p = params
     scan = p.H / (p.P * p.B)
     d = _d(p)
-    logp = math.log2(p.P) if p.P > 1 else 0.0
     if map_type == DIRECT_SHUFFLE:
-        return CostEstimate(p.H / p.P, "upper", "table1:direct_shuffle",
-                            log_p_term=logp)
+        return CostEstimate(p.H / p.P, "table1:direct_shuffle")
     if map_type == COMPLETE_MERGE:
-        return CostEstimate(scan * lgb(d, p.H / p.B), "upper",
-                            "table1:complete_merge", log_p_term=logp)
+        return CostEstimate(scan * lgb(d, p.H / p.B), "table1:complete_merge")
     if reduce_type not in (NONPARALLEL, PARALLEL):
         raise ValueError(f"unknown reduce type {reduce_type!r}")
     if map_type == UNORDERED:
@@ -162,8 +156,7 @@ def table1_upper(params: Params, map_type: str,
     else:
         raise ValueError(f"unknown map type {map_type!r}")
     value = scan * lgb(d, arg)
-    return CostEstimate(value, "upper", f"table1:{map_type}/{reduce_type}",
-                        log_p_term=logp)
+    return CostEstimate(value, f"table1:{map_type}/{reduce_type}")
 
 
 def _lower(params: Params, formula_id: str, arg: float) -> CostEstimate:
@@ -172,7 +165,7 @@ def _lower(params: Params, formula_id: str, arg: float) -> CostEstimate:
     scan = p.H / (p.P * p.B)
     leading = scan * _log_d(p, arg)
     value = min(p.H / p.P, max(leading, scan))
-    return CostEstimate(value, "lower", formula_id)
+    return CostEstimate(value, formula_id)
 
 
 def _counting_invalid(p: Params, formula_id: str,
@@ -186,7 +179,7 @@ def _counting_invalid(p: Params, formula_id: str,
                           and p.H / p.N_M <= p.N_R ** (1 / 6) + 1e-9):
         bad.append("H/N_R <= N_M^(1/6) and H/N_M <= N_R^(1/6)")
     if bad:
-        return CostEstimate(None, "lower", formula_id, valid=False, reason=bad[0])
+        return CostEstimate(None, formula_id, valid=False, reason=bad[0])
     return None
 
 
@@ -224,7 +217,7 @@ def transpose_lower(params: Params) -> CostEstimate:
     arg = min(p.B, p.N_M, p.N_R, p.H / p.B)
     scan = p.H / (p.P * p.B)
     value = max(scan * _log_d(p, arg), scan)
-    return CostEstimate(value, "lower", "transpose")
+    return CostEstimate(value, "transpose")
 
 
 def combined_lower(params: Params, layout: str) -> CostEstimate:
@@ -242,14 +235,13 @@ def combined_lower(params: Params, layout: str) -> CostEstimate:
     scan = p.H / (p.P * p.B)
     leading = min(p.H / p.P, max(scan * _log_d(p, arg), scan))
     logp = math.log2(p.P) if p.P > 1 else 0.0
-    return CostEstimate(max(leading, logp), "lower", f"combined:{layout}",
-                        log_p_term=logp)
+    return CostEstimate(max(leading, logp), f"combined:{layout}")
 
 
 def scatter_gather_floor(params: Params) -> CostEstimate:
     """Omega(log P) floor from the exclusive-write requirement."""
     logp = math.log2(params.P) if params.P > 1 else 0.0
-    return CostEstimate(logp, "lower", "scatter_gather", log_p_term=logp)
+    return CostEstimate(logp, "scatter_gather")
 
 
 # -- togetherness potential ---------------------------------------------------

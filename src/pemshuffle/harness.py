@@ -10,6 +10,7 @@ so reruns with identical seeds are byte-identical.
 
 from __future__ import annotations
 
+import csv
 import gc
 import io
 import itertools
@@ -77,14 +78,20 @@ def parse_spec_text(text: str) -> ExperimentSpec:
             items = [x.strip() for x in value[1:-1].split(",") if x.strip()]
         else:
             items = [value]
+        if key in GRID_KEYS or key == "seeds":
+            try:
+                ints = [int(x) for x in items]
+            except ValueError:
+                raise ValueError(f"line {lineno}: {key} values must be integers, "
+                                 f"got {value}") from None
         if key in GRID_KEYS:
-            grid[key] = [int(x) for x in items]
+            grid[key] = ints
             if any(x < 1 for x in grid[key]):
                 raise ValueError(f"line {lineno}: {key} values must be >= 1, got {value}")
         elif key == "algorithms":
             algorithms = items
         elif key == "seeds":
-            seeds = [int(x) for x in items]
+            seeds = ints
         elif key == "policy":
             if value not in (CREW, EREW):
                 raise ValueError(f"line {lineno}: unknown policy {value!r}; "
@@ -174,8 +181,7 @@ _MAP_STEP = {
     cm.COMPLETE_MERGE: lambda m, reg, inst, R: alg.complete_sort(m, reg, inst),
     cm.UNORDERED: lambda m, reg, inst, R: alg.prepare_unordered_map(m, reg, inst, R),
     cm.SORTED: lambda m, reg, inst, R: alg.prepare_sorted_map(m, reg, inst, R),
-    cm.PARALLEL_MAP: lambda m, reg, task, R: alg.prepare_parallel_map(
-        m, reg, task, alg.meta_column_capacity(m.config, task.H), R),
+    cm.PARALLEL_MAP: lambda m, reg, task, R: alg.prepare_parallel_map(m, reg, task, R),
 }
 
 
@@ -198,7 +204,7 @@ def load_pipeline(algorithm: str, instance: ShuffleInstance, vectors: list[list[
 def run_pipeline(algorithm: str, instance: ShuffleInstance, machine: Machine, region: Region,
                  run_input: ShuffleInstance | MapTask) -> tuple[Region, int | None]:
     """Run a loaded shuffle pipeline's map-dependent step, then its reduce.
-    Returns the output region and the map step's meta-run count R (None
+    Returns the output region and the map step's meta-run target R (None
     for a pipeline of one step)."""
     pipe = PIPELINES[algorithm]
     H, N_R, w, B = instance.H, instance.N_R, instance.w, machine.config.B
@@ -208,8 +214,8 @@ def run_pipeline(algorithm: str, instance: ShuffleInstance, machine: Machine, re
     if not isinstance(out, alg.MetaRunSet):
         return out, None
     if pipe.parallel_reduce:
-        return alg.finalize_parallel_reduce(machine, out, lambda a, b: a + b, 0, N_R, w), out.R
-    return alg.finalize_nonparallel_reduce(machine, out), out.R
+        return alg.finalize_parallel_reduce(machine, out, N_R, w), R
+    return alg.finalize_nonparallel_reduce(machine, out), R
 
 
 def _instance_layout(pipe: Pipeline) -> str:
@@ -279,7 +285,7 @@ def _run_primitive(pipe: Pipeline, point: dict[str, int], seed: int,
             machine.discard(p, elems)
     else:
         values = [rng.randrange(10) for _ in range(P)]
-        got = prefix_sum(machine, values, lambda a, b: a + b)
+        got = prefix_sum(machine, values)
         ok = got == list(itertools.accumulate(values))
     return {"measured_io": machine.io_count - base, "R": None, "d": None,
             "correct": "pass" if ok else "fail", "potential": "na"}
@@ -370,9 +376,10 @@ class Report:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write(",".join(FIELDNAMES) + "\n")
-        for row in self.rows:
-            buf.write(",".join(_fmt(row.get(f)) for f in FIELDNAMES) + "\n")
+        # a failed row's reason is exception text, which may hold commas
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(FIELDNAMES)
+        out.writerows([_fmt(row.get(f)) for f in FIELDNAMES] for row in self.rows)
         return buf.getvalue()
 
     def ok_rows(self) -> list[dict]:
@@ -459,7 +466,6 @@ class Verdicts:
     correctness_ok: bool
     potential_ok: bool
     bounds_ok: bool
-    constants: dict
     failures: list[str] = field(default_factory=list)
 
     def all_ok(self) -> bool:
@@ -527,7 +533,6 @@ def verify(spec: ExperimentSpec,
         correctness_ok=all(r["correct"] != "fail" for r in report.rows) and not failed_rows,
         potential_ok=all(r["potential"] != "fail" for r in report.rows),
         bounds_ok=not bounds_failures,
-        constants=constants,
         failures=failures,
     )
 

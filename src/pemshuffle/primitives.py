@@ -114,8 +114,8 @@ def scatter(machine: Machine, source: int, targets: Sequence[int],
 # -- prefix sums ------------------------------------------------------------
 
 
-def prefix_sum(machine: Machine, values: Sequence, op: Callable) -> list:
-    """Inclusive parallel scan: processor i ends up with v_0 (+) ... (+) v_i.
+def prefix_sum(machine: Machine, values: Sequence) -> list:
+    """Inclusive parallel scan: processor i ends up with v_0 + ... + v_i.
 
     Doubling-stride scan over inboxes, 2*ceil(log2 P) parallel I/Os.
     """
@@ -128,7 +128,7 @@ def prefix_sum(machine: Machine, values: Sequence, op: Callable) -> list:
         results = exchange(machine, [(p, p + shift, (acc[p],)) for p in range(P - shift)])
         for q in range(shift, P):
             incoming = results[q][0]
-            merged = machine.create(q, ("scan", q), op(incoming.payload, acc[q].payload))
+            merged = machine.create(q, ("scan", q), incoming.payload + acc[q].payload)
             machine.discard(q, (incoming, acc[q]))
             acc[q] = merged
         shift *= 2
@@ -145,7 +145,6 @@ def prefix_sum(machine: Machine, values: Sequence, op: Callable) -> list:
 class Span:
     """One processor's contiguous piece of a region, in element terms."""
 
-    proc: int
     start: int
     count: int
     key_lo: int
@@ -183,7 +182,7 @@ def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
         if a > b:
             raise SimulationError("load balancing requires key-sorted input")
     if P == 1:
-        return (Span(0, 0, n, keys[0], keys[-1]),)
+        return (Span(0, n, keys[0], keys[-1]),)
 
     volume_procs = ceil_div(P, 2)
     piece = ceil_div(n, volume_procs)
@@ -239,9 +238,9 @@ def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
     cuts = sorted({*range(0, n, piece), *range_starts.values()})
     if len(cuts) > P:
         raise SimulationError(f"load balancing produced {len(cuts)} > P spans")
-    spans = [Span(p, s, e - s, keys[s], keys[e - 1])
-             for p, (s, e) in enumerate(zip(cuts, cuts[1:] + [n]))]
-    return tuple(spans) + tuple(Span(p, n, 0, 0, -1) for p in range(len(cuts), P))
+    spans = [Span(s, e - s, keys[s], keys[e - 1])
+             for s, e in zip(cuts, cuts[1:] + [n])]
+    return tuple(spans) + tuple(Span(n, 0, 0, -1) for _ in range(len(cuts), P))
 
 
 # -- contraction ------------------------------------------------------------
@@ -272,7 +271,7 @@ def contract(machine: Machine, region: Region) -> Region:
 
     each_share(machine, mblocks, count_script)
 
-    ends = prefix_sum(machine, counts, lambda a, b: a + b)
+    ends = prefix_sum(machine, counts)
     starts = [e - c for e, c in zip(ends, counts)]
     total = ends[-1] if ends else 0
     out = machine.alloc_region(total)

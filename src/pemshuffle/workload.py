@@ -4,7 +4,7 @@ A shuffle instance is a sparse N_R x N_M matrix of intermediate pairs:
 triple (i, j, x) says map operation j emitted value x for reducer i.
 For combined matrix-vector tasks every triple additionally names which
 of v input vectors it stems from and which of w output vectors it
-feeds.  Instances carry their triples in one of the three layouts the
+feeds.  Instances carry their triples in one of the two layouts the
 algorithms consume.
 """
 
@@ -16,9 +16,8 @@ from typing import Callable, NamedTuple, Sequence
 
 MIXED_COLUMN = "mixed_column"
 COLUMN_MAJOR = "column_major"
-ROW_MAJOR = "row_major"
 
-LAYOUTS = (MIXED_COLUMN, COLUMN_MAJOR, ROW_MAJOR)
+LAYOUTS = (MIXED_COLUMN, COLUMN_MAJOR)
 
 
 class GenerationError(ValueError):
@@ -128,10 +127,8 @@ def generate(N_M: int, N_R: int, H: int, v: int = 1, w: int = 1,
     if layout == MIXED_COLUMN:
         decorated = sorted((t.j, rng.random(), t) for t in triples)
         triples = [t for _, _, t in decorated]
-    elif layout == COLUMN_MAJOR:
-        triples.sort(key=lambda t: (t.j, t.i))
     else:
-        triples.sort(key=lambda t: (t.i, t.j))
+        triples.sort(key=lambda t: (t.j, t.i))
     instance = ShuffleInstance(N_M, N_R, H, v, w, layout, tuple(triples), seed)
     _last_drawn = (args, instance)
     return instance

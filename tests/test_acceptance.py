@@ -263,7 +263,7 @@ def test_criterion_6_logarithmic_primitives():
         ok &= m.io_count <= budget
 
         m = create_machine(config)
-        got = prefix_sum(m, list(range(P)), lambda x, y: x + y)
+        got = prefix_sum(m, list(range(P)))
         ok &= m.io_count <= budget
         ok &= got == [sum(range(i + 1)) for i in range(P)]
     announce(6, "gather/scatter/prefix within a*ceil(log2 P)+b, a=b=4", ok)

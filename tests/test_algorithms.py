@@ -36,7 +36,6 @@ from pemshuffle.machine import (
 from pemshuffle.workload import (
     COLUMN_MAJOR,
     MIXED_COLUMN,
-    ROW_MAJOR,
     ShuffleInstance,
     Triple,
     elementary_products,
@@ -242,18 +241,18 @@ class TestPrepareParallelMap:
         inst = generate(8, 16, 128, layout=COLUMN_MAJOR, seed=8)
         cfg = MachineConfig(P=2, M=64, B=4)
         m, vec = machine_with_vectors(cfg, make_map_task(inst))
-        cap = meta_column_capacity(cfg, inst.H)
-        meta = prepare_parallel_map(m, vec, make_map_task(inst), cap,
+        meta = prepare_parallel_map(m, vec, make_map_task(inst),
                                     nonparallel_run_target(128, 16, 4))
         assert meta.rounds == 0
 
     def test_one_merge_level(self):
         # 16 columns in meta-columns of 4: four runs merged to 2 in one round
         inst = generate(16, 16, 256, layout=COLUMN_MAJOR, seed=9)
-        cfg = MachineConfig(P=2, M=24, B=4)
+        cfg = MachineConfig(P=2, M=6, B=2)
+        assert meta_column_capacity(cfg, inst.H) == 4
         task = make_map_task(inst)
         m, vec = machine_with_vectors(cfg, task)
-        meta = prepare_parallel_map(m, vec, task, m=4, R=2)
+        meta = prepare_parallel_map(m, vec, task, R=2)
         assert meta.rounds == 1
         assert len(meta.runs) == 2
 
@@ -262,25 +261,24 @@ class TestPrepareParallelMap:
         cfg = MachineConfig(P=4, M=32, B=4)
         task = make_map_task(inst)
         m, vec = machine_with_vectors(cfg, task)
-        cap = meta_column_capacity(cfg, inst.H)
-        meta = prepare_parallel_map(m, vec, task, cap, nonparallel_run_target(256, 16, 4))
+        meta = prepare_parallel_map(m, vec, task, nonparallel_run_target(256, 16, 4))
         assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
 
-    def test_capacity_below_block_rejected(self):
-        inst = generate(16, 16, 256, layout=COLUMN_MAJOR, seed=11)
-        cfg = MachineConfig(P=2, M=24, B=8)
+    def test_vectors_above_capacity_rejected(self):
+        inst = generate(16, 16, 256, v=9, layout=COLUMN_MAJOR, seed=11)
+        cfg = MachineConfig(P=2, M=12, B=4)
+        assert meta_column_capacity(cfg, inst.H) == 8
         task = make_map_task(inst)
         m, vec = machine_with_vectors(cfg, task)
-        with pytest.raises(SimulationError):
-            prepare_parallel_map(m, vec, task, m=4, R=4)
+        with pytest.raises(SimulationError, match="v=9 input vectors exceed capacity m=8"):
+            prepare_parallel_map(m, vec, task, R=4)
 
     def test_composition_equals_oracle(self):
         inst = generate(32, 16, 512, v=2, layout=COLUMN_MAJOR, seed=12)
         cfg = MachineConfig(P=4, M=48, B=4)
         task = make_map_task(inst)
         m, vec = machine_with_vectors(cfg, task)
-        cap = meta_column_capacity(cfg, inst.H)
-        meta = prepare_parallel_map(m, vec, task, cap, nonparallel_run_target(512, 16, 4))
+        meta = prepare_parallel_map(m, vec, task, nonparallel_run_target(512, 16, 4))
         out = finalize_nonparallel_reduce(m, meta)
         assert region_payloads(m, out) == oracle_shuffle(inst)
         m.assert_memories_empty()
@@ -291,7 +289,7 @@ class TestFinalizeNonparallel:
         m = create_machine(MachineConfig(P=2, M=12, B=4))
         runs = presorted_runs(m, 1, 16, 4)
         before = m.io_count
-        out = finalize_nonparallel_reduce(m, MetaRunSet(1, tuple(runs)))
+        out = finalize_nonparallel_reduce(m, MetaRunSet(tuple(runs)))
         assert out == runs[0].region
         assert m.io_count == before
 
@@ -310,7 +308,7 @@ class TestFinalizeNonparallel:
                 m.parallel_step([Output(region.addr(bi), elems)])
                 m.discard(0, elems)
             regions.append(Run(region, 0, len(chunk)))
-        meta = MetaRunSet(2, tuple(regions))
+        meta = MetaRunSet(tuple(regions))
         tiles = tile_table(m, meta)
         # current order: (run1: row1 size2, row3 size1), (run2: row1, row2 size2, row4)
         assert [(t.run, t.row, t.size) for t in tiles] == \
@@ -356,8 +354,7 @@ class TestFinalizeParallel:
         m, region = machine_with_instance(cfg, inst)
         R = parallel_run_target(inst.H, inst.N_R, 1, cfg.B)
         meta = prepare_unordered_map(m, region, inst, R)
-        grid = finalize_parallel_reduce(m, meta, lambda a, b: a + b, 0,
-                                        inst.N_R, 1)
+        grid = finalize_parallel_reduce(m, meta, inst.N_R, 1)
         expected = oracle_combined_mxv(inst, [[1] * 16])
         got = {e.key: e.payload for e in m.region_elements(grid)}
         assert all(got[(i + 1, 1)] == expected[0][i] for i in range(16))
@@ -371,7 +368,7 @@ class TestFinalizeParallel:
         m, region = machine_with_instance(cfg, prod)
         meta = prepare_unordered_map(m, region, prod,
                                      parallel_run_target(64, 8, 2, 4))
-        grid = finalize_parallel_reduce(m, meta, lambda a, b: a + b, 0, 8, 2)
+        grid = finalize_parallel_reduce(m, meta, 8, 2)
         expected = oracle_combined_mxv(inst, vectors)
         got = {e.key: e.payload for e in m.region_elements(grid)}
         assert all(got[(i + 1, l + 1)] == expected[l][i]
@@ -387,7 +384,7 @@ class TestFinalizeParallel:
             m, region = machine_with_instance(cfg, prod)
             meta = prepare_unordered_map(
                 m, region, prod, parallel_run_target(512, 16, 4, 4))
-            grid = finalize_parallel_reduce(m, meta, lambda a, b: a + b, 0, 16, 4)
+            grid = finalize_parallel_reduce(m, meta, 16, 4)
             results.append(sorted((e.key, e.payload)
                                   for e in m.region_elements(grid)))
         assert all(r == results[0] for r in results)
@@ -429,14 +426,6 @@ class TestDirectShuffle:
 
 
 class TestCompleteSort:
-    def test_row_major_costs_a_scan(self):
-        inst = generate(16, 16, 128, layout=ROW_MAJOR, seed=20)
-        cfg = MachineConfig(P=4, M=24, B=4)
-        m, region = machine_with_instance(cfg, inst)
-        out = complete_sort(m, region, inst)
-        assert out == region
-        assert m.io_count <= region.blocks / cfg.P + 4
-
     def test_random_mixed_equals_oracle(self):
         inst = generate(32, 32, 1024, layout=MIXED_COLUMN, seed=21)
         cfg = MachineConfig(P=4, M=64, B=4)
@@ -474,7 +463,7 @@ def test_finalize_single_sliced_run_copies_out():
     m = create_machine(MachineConfig(P=2, M=12, B=4))
     runs = presorted_runs(m, 1, 16, 4, seed=8)
     sliced = Run(runs[0].region, 4, 12)
-    out = finalize_nonparallel_reduce(m, MetaRunSet(1, (sliced,)))
+    out = finalize_nonparallel_reduce(m, MetaRunSet((sliced,)))
     assert [e.key for e in m.region_elements(out)] == \
         [e.key for e in run_elements(m, sliced)]
     m.assert_memories_empty()

@@ -44,7 +44,6 @@ class TestTable1:
         p = cm.Params(N_M=2 ** 10, N_R=2 ** 10, H=2 ** 20, P=16, M=4096, B=64)
         est = cm.table1_upper(p, cm.UNORDERED, cm.NONPARALLEL)
         assert est.value == pytest.approx(1024 * (10 / 6))
-        assert est.log_p_term == pytest.approx(4.0)
 
     def test_clamp_to_scan(self):
         # argument below the merge degree: lgb clamps, value is one scan

@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import json
 
 import pytest
@@ -104,7 +106,7 @@ class TestPrimitiveVerdicts:
 def test_grid_without_its_identity_cells_fails(monkeypatch, algorithm):
     hidden = []
 
-    def fed_cells_only(machine, grid, final, identity, N_R, w):
+    def fed_cells_only(machine, grid, final, N_R, w):
         # the combined partials stand in for the grid: the cells no triple
         # feeds, which hold the identity, are missing
         hidden.append(N_R * w - len(machine.region_elements(final.region)))
@@ -141,6 +143,16 @@ class TestSweep:
         spec.algorithms = ["complete_sort", "unordered_nonparallel",
                            "prim_prefix_sum"]
         assert run_sweep(spec).to_csv() == run_sweep(spec).to_csv()
+
+    def test_failed_row_reason_survives_the_csv(self, monkeypatch):
+        def broken(*args):
+            raise SimulationError("merge wrote 3 elements, expected 4")
+
+        monkeypatch.setattr(alg, "complete_sort", broken)
+        text = run_sweep(parse_spec_text(SMALL_GRID)).to_csv()
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [(r["status"], r["reason"], r["correct"]) for r in rows] == \
+            [("failed", "merge wrote 3 elements, expected 4", "fail")] * 2
 
     def test_infeasible_points_skipped_with_reason(self):
         spec = parse_spec_text(SMALL_GRID)
@@ -455,8 +467,10 @@ class TestCli:
         assert cli_main(["bounds", "--grid", grid, "--out", str(out)]) == 0
         assert out.read_text().startswith("formula_id,")
 
-    @pytest.mark.parametrize("text", ["v = [0]\n", "foo = 1\n", "out = report.csv\n", None],
-                             ids=["value-below-one", "unknown-key", "out-key", "missing-file"])
+    @pytest.mark.parametrize("text", ["v = [0]\n", "foo = 1\n", "out = report.csv\n", None,
+                                      "H = [1k]\n", "seeds = [0, x]\n"],
+                             ids=["value-below-one", "unknown-key", "out-key", "missing-file",
+                                  "non-integer-value", "non-integer-seed"])
     def test_grid_file_error_is_a_usage_error(self, tmp_path, capsys, text):
         path = tmp_path / "bad.cfg"
         if text is not None:
@@ -468,6 +482,8 @@ class TestCli:
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert err.splitlines()[-1].startswith(f"pemshuffle: error: {path}: ")
+            if text is not None:
+                assert f"{path}: line 1: " in err
 
     def test_unknown_algorithm_is_a_usage_error(self, tmp_path, capsys):
         grid = self.write_grid(tmp_path)

@@ -119,25 +119,25 @@ def test_primitives_leave_foreign_blocks_alone():
     scatter(m, 60, [0, 1, 2, 3], tree=True)
     for p in range(4):
         m.discard(p, [e for e in m.peek(60) if m.holds(p, e)])
-    prefix_sum(m, [1, 2, 3, 4], lambda a, b: a + b)
+    prefix_sum(m, [1, 2, 3, 4])
     assert m.peek(50) == before[50] and m.peek(60) == before[60]
 
 
 class TestPrefixSum:
     def test_ones(self):
         m = fresh(4, 12, 4)
-        assert prefix_sum(m, [1, 1, 1, 1], lambda a, b: a + b) == [1, 2, 3, 4]
+        assert prefix_sum(m, [1, 1, 1, 1]) == [1, 2, 3, 4]
 
     def test_single_processor_identity(self):
         m = fresh(1, 12, 4)
-        assert prefix_sum(m, [7], lambda a, b: a + b) == [7]
+        assert prefix_sum(m, [7]) == [7]
         assert m.io_count == 0
 
     def test_matches_sequential_scan(self):
         rng = random.Random(5)
         values = [rng.randrange(100) for _ in range(8)]
         m = fresh(8, 12, 4)
-        got = prefix_sum(m, values, lambda a, b: a + b)
+        got = prefix_sum(m, values)
         acc, expect = 0, []
         for x in values:
             acc += x
@@ -147,13 +147,13 @@ class TestPrefixSum:
 
     def test_non_commutative_operator(self):
         m = fresh(4, 12, 4)
-        got = prefix_sum(m, ["a", "b", "c", "d"], lambda a, b: a + b)
+        got = prefix_sum(m, ["a", "b", "c", "d"])
         assert got == ["a", "ab", "abc", "abcd"]
 
     def test_budget_across_p(self):
         for P in (1, 2, 4, 8, 16, 32, 64):
             m = fresh(P, 12, 4)
-            prefix_sum(m, [1] * P, lambda a, b: a + b)
+            prefix_sum(m, [1] * P)
             assert m.io_count <= log_budget(P)
             m.assert_memories_empty()
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from pemshuffle.workload import (
     COLUMN_MAJOR,
     MIXED_COLUMN,
-    ROW_MAJOR,
     GenerationError,
     ShuffleInstance,
     Triple,
@@ -72,8 +71,7 @@ class TestGenerate:
     @pytest.mark.parametrize("layout,rank", [
         (MIXED_COLUMN, lambda t: t.j),
         (COLUMN_MAJOR, lambda t: (t.j, t.i)),
-        (ROW_MAJOR, lambda t: (t.i, t.j)),
-    ], ids=["mixed_column-kwargs0", "column_major-kwargs1", "row_major-kwargs2"])
+    ], ids=["mixed_column-kwargs0", "column_major-kwargs1"])
     def test_layout_self_check(self, layout, rank):
         inst = generate(16, 8, 64, layout=layout, seed=5)
         ranks = [rank(t) for t in inst.triples]
@@ -121,10 +119,6 @@ class TestLastDrawKept:
 
 
 class TestOracles:
-    def test_row_major_identity(self):
-        inst = generate(8, 8, 40, layout=ROW_MAJOR, seed=6)
-        assert oracle_shuffle(inst) == list(inst.triples)
-
     def test_layout_independent(self):
         mixed = generate(8, 8, 40, layout=MIXED_COLUMN, seed=9)
         column = ShuffleInstance(
@@ -154,7 +148,7 @@ class TestOracles:
     def test_diagonal_hand_case(self):
         triples = (Triple(1, 1, 5, 1, 1), Triple(2, 2, 6, 1, 1),
                    Triple(3, 3, 7, 1, 1))
-        inst = ShuffleInstance(3, 3, 3, 1, 1, ROW_MAJOR, triples, 0)
+        inst = ShuffleInstance(3, 3, 3, 1, 1, COLUMN_MAJOR, triples, 0)
         out = oracle_combined_mxv(inst, [[1, 2, 3]])
         assert out == [[5, 12, 21]]
 
