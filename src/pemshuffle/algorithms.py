@@ -763,11 +763,8 @@ def _fill_grid(machine: Machine, grid: Region, final: Run | None,
             held: dict[int, Element] = {}
             if need and final is not None:
                 p_lo, p_hi = pos_of[need[0]], pos_of[need[-1]] + 1
-                for fb in range((final.lo + p_lo) // B,
-                                ceil_div(final.lo + p_hi, B)):
-                    for e in (yield from _read_window(
-                            machine, p, final.region.addr(fb), fb * B - final.lo,
-                            p_lo, p_hi, set())):
+                for _, addr, base, lo, hi in _span_blocks((final,), p_lo, p_hi, B):
+                    for e in (yield from _read_window(machine, p, addr, base, lo, hi, set())):
                         i, l = e.key
                         held[(i - 1) * w + (l - 1)] = e
             cells: list[Element] = []
@@ -854,8 +851,6 @@ def complete_sort(machine: Machine, region: Region,
         fanin = _effective_fanin(cfg, d)
         formed = cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M)
         if _merge_passes(len(columns), 1, fanin)[0] <= 1 + _merge_passes(formed, 1, fanin)[0]:
-            if len(columns) == 1:
-                return region
             meta = parallel_merge_to_R(machine, columns, 1, d, validate=False)
             return finalize_nonparallel_reduce(machine, meta)
     meta = _sort_to_runs(machine, region, H, 1, d)

@@ -20,15 +20,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _spec_from_args(parser: argparse.ArgumentParser, args) -> harness.ExperimentSpec:
     """The grid file's spec with the command line overrides; a bad grid
-    file or an unknown algorithm is a usage error (exit 2)."""
+    file, or an algorithm list with an unknown name or none, is a usage error (exit 2)."""
     try:
         spec = harness.load_spec(args.grid)
     except (ValueError, OSError) as exc:
         parser.error(f"{args.grid}: {exc}")
     if args.seed is not None:
         spec.seeds = [args.seed]
-    if args.algorithms:
+    if args.algorithms is not None:
         names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+        if not names:
+            parser.error(f"--algorithms {args.algorithms!r} names no pipeline")
         for a in names:
             if a not in harness.PIPELINES:
                 parser.error(f"unknown algorithm {a!r}")

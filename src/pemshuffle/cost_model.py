@@ -112,7 +112,6 @@ class CostEstimate:
     value: float | None
     formula_id: str
     valid: bool = True
-    reason: str = ""           # failed precondition name when invalid
 
 
 def _d(params: Params) -> float:
@@ -172,14 +171,10 @@ def _counting_invalid(p: Params, formula_id: str,
                       best_case: bool = False) -> CostEstimate | None:
     """A counting bound's invalid estimate, or None if its requirements, a
     positive eps and, for the best case, the sixth-root condition hold."""
-    bad = p.failed_preconditions()
-    if p.max_eps() <= 0:
-        bad.append("H/N_R <= N_M^(1-eps) and H/N_M <= N_R^(1-eps)")
-    if best_case and not (p.H / p.N_R <= p.N_M ** (1 / 6) + 1e-9
-                          and p.H / p.N_M <= p.N_R ** (1 / 6) + 1e-9):
-        bad.append("H/N_R <= N_M^(1/6) and H/N_M <= N_R^(1/6)")
-    if bad:
-        return CostEstimate(None, formula_id, valid=False, reason=bad[0])
+    if (p.failed_preconditions() or p.max_eps() <= 0
+            or best_case and not (p.H / p.N_R <= p.N_M ** (1 / 6) + 1e-9
+                                  and p.H / p.N_M <= p.N_R ** (1 / 6) + 1e-9)):
+        return CostEstimate(None, formula_id, valid=False)
     return None
 
 
@@ -321,8 +316,9 @@ class PotentialTracker:
     ``home``, indexed by ``Element.uid``, names the block that last
     received an element while that block still holds it, or None; the
     element counts there while no memory holds it.  The table grows when
-    a produced element is first read.  Count changes gather in ``net``
-    until the boundary turns them into the step's phi increase.
+    a produced element is first read.  Counts change where their events
+    happen, and ``change`` sums the resulting change of phi up to the
+    boundary, which takes it as the step's phi increase.
 
     Phi depends only on the state at a boundary, so reads wait for it:
     a step parks each reader's elements it did not hold in ``parked[p]``
@@ -348,20 +344,20 @@ class PotentialTracker:
         self.home: list[int | None] = [None] * (1 + max(
             (e.uid for elems in initial_image.values() for e in elems), default=-1))
         self.counts: dict[int, dict[int, int]] = {}
-        self.net: dict[int, dict[int, int]] = {}
-        self.f = _xlog2x(max(M, B) + 1)
+        self.f = _xlog2x(max(M, B) + 1)   # no container holds more
+        self.change = 0.0
         H = 0
         for addr, elems in initial_image.items():
-            net = self._net(addr)
             for e in elems:
                 o = out_of(e)
                 if o is not None:
                     self.home[e.uid] = addr
-                    net[o] = net.get(o, 0) + 1
+                    self._count(addr, o, 1)
                     H += 1
         self.bound = (P * B * math.log2(2 * math.e)
                       + P * B * math.log2(min(M, max(H / P, B)) / B))
-        self.phi_initial = self.phi = self._settle()
+        self.phi_initial = self.phi = self.change
+        self.change = 0.0
         self.deltas: list[float] = []
         self.violations: list[int] = []
         self.copies = False
@@ -381,10 +377,8 @@ class PotentialTracker:
             self._write(addr, elems, old)
 
     def drop(self, p: int, elems: Iterable[Element]) -> None:
-        out_of, home, holders = self.out_of, self.home, self.holders
+        out_of, home, holders, count = self.out_of, self.home, self.holders, self._count
         held, parked = self.held[p], self.parked[p]
-        mem = self._net(~p)
-        at = blk = None
         twice = 0
         for e in elems:
             if e in parked:
@@ -404,10 +398,8 @@ class PotentialTracker:
                 a = home[e.uid]
                 if a is not None:
                     # the last holder let go: the rating rests at home again
-                    if a != at:
-                        at, blk = a, self._net(a)
-                    blk[o] = blk.get(o, 0) + 1
-            mem[o] = mem.get(o, 0) - 1
+                    count(a, o, 1)
+            count(~p, o, -1)
         self.twice += twice
 
     def compute(self, p: int, consumed: tuple, produced: tuple) -> None:
@@ -417,17 +409,26 @@ class PotentialTracker:
 
     # -- count changes ---------------------------------------------------
 
-    def _net(self, container: int) -> dict[int, int]:
-        d = self.net.get(container)
-        if d is None:
-            d = self.net[container] = {}
-        return d
+    def _count(self, container: int, o: int, k: int) -> None:
+        """Add k to o's count in ``container`` and the change of phi to ``change``."""
+        counts = self.counts
+        cnt = counts.get(container)
+        if cnt is None:
+            cnt = counts[container] = {}
+        old = cnt.get(o, 0)
+        new = old + k
+        self.change += self.f[new] - self.f[old]
+        if new:
+            cnt[o] = new
+        else:
+            del cnt[o]
+            if not cnt:
+                del counts[container]
 
     def _read(self, p: int, elems: Iterable[Element]) -> None:
         """p takes ``elems``, none of which it holds, into memory."""
         out_of, home, holders, held = self.out_of, self.home, self.holders, self.held[p]
-        mem = self._net(~p)
-        at = blk = None
+        count = self._count
         twice = 0
         for e in elems:
             o = out_of(e)
@@ -445,10 +446,8 @@ class PotentialTracker:
                 a = home[u]
                 if a is not None:
                     # the first holder takes the rating off its home block
-                    if a != at:
-                        at, blk = a, self._net(a)
-                    blk[o] = blk.get(o, 0) - 1
-            mem[o] = mem.get(o, 0) + 1
+                    count(a, o, -1)
+            count(~p, o, 1)
         self.twice += twice
 
     def _write(self, addr: int, elems: tuple, old: tuple) -> None:
@@ -457,51 +456,20 @@ class PotentialTracker:
         home, holders = self.home, self.holders
         if old:
             fresh = set(elems)
-            blk = None
             for e in old:
                 u = e.uid
                 if u < len(home) and home[u] == addr and e not in fresh:
                     home[u] = None
                     if e not in holders:
-                        if blk is None:
-                            blk = self._net(addr)
-                        o = self.out_of(e)
-                        blk[o] = blk.get(o, 0) - 1
+                        self._count(addr, self.out_of(e), -1)
         for e in elems:
             if e in holders:
                 home[e.uid] = addr
 
-    def _settle(self) -> float:
-        """Apply the gathered count changes; returns the change of phi."""
-        f, counts = self.f, self.counts
-        delta = 0.0
-        for c, net in self.net.items():
-            cnt = counts.get(c)
-            if cnt is None:
-                cnt = counts[c] = {}
-            for o, n in net.items():
-                if not n:
-                    continue
-                old = cnt.get(o, 0)
-                new = old + n
-                try:
-                    delta += f[new] - f[old]
-                except IndexError:
-                    f.extend(_xlog2x(new + 1)[len(f):])
-                    delta += f[new] - f[old]
-                if new:
-                    cnt[o] = new
-                else:
-                    del cnt[o]
-            if not cnt:
-                del counts[c]   # an emptied dict keeps its allocation
-        self.net.clear()
-        return delta
-
     # -- step boundaries -------------------------------------------------
 
     def _boundary(self) -> None:
-        """Read what is still parked, then settle the step that ended, if any."""
+        """Read what is still parked, then close the step that ended, if any."""
         for p, parked in enumerate(self.parked):
             if parked:
                 self._read(p, parked)
@@ -511,17 +479,17 @@ class PotentialTracker:
         self._open = False
         if self.twice:
             self.copies = True
-        delta = self._settle()
+        delta, self.change = self.change, 0.0
         if delta > self.bound + 1e-9:
             self.violations.append(len(self.deltas))
         self.deltas.append(delta)
         self.phi += delta
 
     def report(self) -> PotentialReport:
-        """Settle the last step and report the run once it is over."""
+        """Close the last step and report the run once it is over."""
         self._boundary()
-        self.phi += self._settle()   # free operations of a run with no step
-        return PotentialReport(self.deltas, self.bound, self.phi_initial, self.phi,
+        phi = self.phi + self.change   # free operations of a run with no step
+        return PotentialReport(self.deltas, self.bound, self.phi_initial, phi,
                                applicable=not self.copies,
                                reason="trace copies elements" if self.copies else "",
                                violations=self.violations)

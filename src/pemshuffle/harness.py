@@ -278,7 +278,7 @@ def _run_primitive(pipe: Pipeline, point: dict[str, int], seed: int,
         filler = [machine.create(0, ("s", i), i) for i in range(B)]
         run_lockstep(machine, [write_out(machine, 0, src, filler)])
         base = machine.io_count
-        got = scatter(machine, src, list(range(P)), tree=True)
+        got = scatter(machine, src, list(range(P)))
         ok = all(_key_payloads(got.get(p, ())) == _key_payloads(filler)
                  for p in range(P))
         for p, elems in got.items():

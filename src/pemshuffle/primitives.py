@@ -83,30 +83,24 @@ def gather(machine: Machine, participants: Sequence[int],
     return out_addr
 
 
-def scatter(machine: Machine, source: int, targets: Sequence[int],
-            tree: bool | None = None) -> dict[int, tuple[Element, ...]]:
+def scatter(machine: Machine, source: int,
+            targets: Sequence[int]) -> dict[int, tuple[Element, ...]]:
     """Spread one block to every target processor.
 
-    Under CREW a single concurrent read suffices; the binary inbox tree
-    (one write per target inbox, mirroring the key-range distribution
-    pattern) keeps the operation EREW safe in O(log P) I/Os.  Targets
-    are left holding their copies; the caller discards as needed.
+    The first target reads the block; a binary inbox tree (one write per
+    target inbox, mirroring the key-range distribution pattern) then
+    doubles the holders every round, EREW safe in O(log P) I/Os.
+    Targets are left holding their copies; the caller discards as needed.
     """
     if not machine.peek(source):
         raise SimulationError(f"scatter of empty or absent block {source}")
-    if tree is None:
-        tree = machine.config.policy != "crew"
-    readers = targets[:1] if tree else targets
-    results = act(machine, {t: Input(source) for t in readers})
-    got = {t: results[t] for t in readers}
-    holders = list(readers)
-    remaining = list(targets[len(readers):])
-    while remaining:
-        batch = remaining[: len(holders)]
-        remaining = remaining[len(holders):]
+    holders = list(targets[:1])
+    results = act(machine, {t: Input(source) for t in holders})
+    got = {t: results[t] for t in holders}
+    while len(holders) < len(targets):
+        batch = targets[len(holders):2 * len(holders)]
         results = exchange(machine, [(h, t, got[h]) for h, t in zip(holders, batch)])
-        for t in batch:
-            got[t] = results[t]
+        got.update((t, results[t]) for t in batch)
         holders.extend(batch)
     return got
 

@@ -39,6 +39,7 @@ from pemshuffle.harness import (
     load_spec,
     run_point,
     run_sweep,
+    write_constants,
 )
 from pemshuffle.machine import CREW, EREW, IOTrace, Machine
 
@@ -100,9 +101,7 @@ def combined_report() -> Report:
 def regenerate() -> dict:
     constants = calibrate(combined_report(), min_rows=2)
     os.makedirs(os.path.dirname(CALIBRATION_PATH), exist_ok=True)
-    with open(CALIBRATION_PATH, "w", encoding="utf-8") as fh:
-        json.dump(constants, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_constants(constants, CALIBRATION_PATH)
     return constants
 
 

@@ -259,7 +259,7 @@ def test_criterion_6_logarithmic_primitives():
         ok &= m.io_count <= budget
 
         m = create_machine(config, [(0, [(i, i) for i in range(4)])])
-        scatter(m, 0, list(range(P)), tree=True)
+        scatter(m, 0, list(range(P)))
         ok &= m.io_count <= budget
 
         m = create_machine(config)

@@ -91,8 +91,8 @@ class TestPrimitiveVerdicts:
     def test_scatter_missing_one_target_fails(self, monkeypatch):
         real = harness.scatter
 
-        def partial(machine, source, targets, tree=None):
-            got = real(machine, source, targets, tree)
+        def partial(machine, source, targets):
+            got = real(machine, source, targets)
             got.pop(targets[-1])
             return got
 
@@ -492,6 +492,19 @@ class TestCli:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == \
             "pemshuffle: error: unknown algorithm 'nope'"
+
+    @pytest.mark.parametrize("algorithms", [",", " , ", ""],
+                             ids=["comma", "spaced-comma", "empty"])
+    def test_empty_algorithm_list_is_a_usage_error(self, tmp_path, capsys, algorithms):
+        grid = self.write_grid(tmp_path)
+        for command in ("sweep", "calibrate", "verify", "bounds"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([command, "--grid", grid, "--algorithms", algorithms])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines()[-1] == \
+                f"pemshuffle: error: --algorithms {algorithms!r} names no pipeline"
 
     def test_erew_policy_flag(self, tmp_path):
         grid = self.write_grid(tmp_path)

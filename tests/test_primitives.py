@@ -74,24 +74,19 @@ class TestGather:
 class TestScatter:
     def test_two_targets(self):
         m = fresh(2, 12, 4, blocks=[(0, [(1, "x")])])
-        got = scatter(m, 0, [0, 1], tree=True)
+        got = scatter(m, 0, [0, 1])
         assert all(len(v) == 1 for v in got.values())
         assert m.io_count <= 2 * 1 + 2
 
     def test_single_target(self):
         m = fresh(2, 12, 4, blocks=[(0, [(1, "x")])])
-        scatter(m, 0, [1], tree=True)
-        assert m.io_count <= 2
-
-    def test_crew_direct_is_two_steps(self):
-        m = fresh(8, 12, 4, blocks=[(0, [(1, "x")])])
-        scatter(m, 0, list(range(8)))
+        scatter(m, 0, [1])
         assert m.io_count <= 2
 
     def test_inbox_fanout_writes_each_inbox_once(self):
         m = fresh(8, 24, 8, blocks=[(0, [(i, i) for i in range(8)])])
         trace = m.observer = IOTrace(8)
-        scatter(m, 0, list(range(8)), tree=True)
+        scatter(m, 0, list(range(8)))
         writes = {}
         for step in trace.steps:
             for rec in step:
@@ -104,7 +99,7 @@ class TestScatter:
     def test_budget_across_p(self):
         for P in (1, 2, 3, 5, 8, 16, 33, 64):
             m = fresh(P, 12, 4, blocks=[(0, [(1, "x")])])
-            got = scatter(m, 0, list(range(P)), tree=True)
+            got = scatter(m, 0, list(range(P)))
             assert m.io_count <= log_budget(P)
             for p, elems in got.items():
                 m.discard(p, [e for e in elems if m.holds(p, e)])
@@ -116,7 +111,7 @@ def test_primitives_leave_foreign_blocks_alone():
     before = {50: m.peek(50), 60: m.peek(60)}
     contributions = {p: [m.create(p, ("g", p), p)] for p in range(4)}
     gather(m, [0, 1, 2, 3], contributions)
-    scatter(m, 60, [0, 1, 2, 3], tree=True)
+    scatter(m, 60, [0, 1, 2, 3])
     for p in range(4):
         m.discard(p, [e for e in m.peek(60) if m.holds(p, e)])
     prefix_sum(m, [1, 2, 3, 4])
