@@ -20,7 +20,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _spec_from_args(parser: argparse.ArgumentParser, args) -> harness.ExperimentSpec:
     """The grid file's spec with the command line overrides; a bad grid
-    file, or an algorithm list with an unknown name or none, is a usage error (exit 2)."""
+    file, an algorithm list with an unknown name or none, or a grid that
+    leaves no row to run is a usage error (exit 2)."""
     try:
         spec = harness.load_spec(args.grid)
     except (ValueError, OSError) as exc:
@@ -37,6 +38,8 @@ def _spec_from_args(parser: argparse.ArgumentParser, args) -> harness.Experiment
         spec.algorithms = names
     if args.policy:
         spec.policy = args.policy
+    if not spec.points() or not spec.seeds:
+        parser.error(f"{args.grid}: an empty list leaves no row to run")
     return spec
 
 

@@ -4,8 +4,10 @@ Upper bounds follow the complexity table of the shuffle algorithms
 (leading terms; a sweep row reports the additive log P term apart);
 lower bounds cover the combined matrix-vector product for the three
 layouts, matrix creation from vectors, the transposition potential
-argument and their combinations.  Logarithms are base 2 wherever a
-base is unstated; log_d is a ratio of base-2 logs.
+argument and their combinations.  ``COMPLEXITY`` and ``LOWER_BOUNDS``
+hold the bound catalog, each lower bound with its paired upper cell.
+Logarithms are base 2 wherever a base is unstated; log_d is a ratio of
+base-2 logs.
 
 The togetherness potential is rated by one tracker, a machine observer
 fed either live by a running machine or from a recorded ``IOTrace``.
@@ -57,7 +59,7 @@ class Params:
     B: int = 1
 
     def failed_preconditions(self) -> list[str]:
-        return [r.text for r in unmet_requirements(self, (BOUND_FORMULAS,))]
+        return [r.skip for r in unmet_requirements(self, (BOUND_FORMULAS,))]
 
     def max_eps(self) -> float:
         """Largest eps with H/N_R <= N_M^(1-eps) and H/N_M <= N_R^(1-eps)."""
@@ -77,7 +79,6 @@ BOUND_FORMULAS = "bound formulas"
 
 
 class Requirement(NamedTuple):
-    text: str                      # the requirement, as bound formulas report it
     skip: str                      # the sweep's skip reason when it fails
     scopes: tuple[str, ...]
     holds: Callable[[Params], bool]
@@ -86,18 +87,15 @@ class Requirement(NamedTuple):
 # Ordered: a skipped sweep row names the first unmet entry, and the
 # predicates after H <= N_M*N_R divide by N_M and N_R.
 REQUIREMENTS = (
-    Requirement("M >= 3B", "M < 3B", (EVERY_PIPELINE, BOUND_FORMULAS),
-                lambda p: p.M >= 3 * p.B),
-    Requirement("H <= N_M*N_R", "H > N_M*N_R", (SHUFFLE_PIPELINES,),
-                lambda p: p.H <= p.N_M * p.N_R),
-    Requirement("P <= H/B", "H/P < B", (SHUFFLE_PIPELINES, BOUND_FORMULAS),
-                lambda p: p.P * p.B <= p.H),
-    Requirement("w <= H/N_R", "w > H/N_R", (PARALLEL_REDUCE_PIPELINES, BOUND_FORMULAS),
+    Requirement("M < 3B", (EVERY_PIPELINE, BOUND_FORMULAS), lambda p: p.M >= 3 * p.B),
+    Requirement("H > N_M*N_R", (SHUFFLE_PIPELINES,), lambda p: p.H <= p.N_M * p.N_R),
+    Requirement("H/P < B", (SHUFFLE_PIPELINES, BOUND_FORMULAS), lambda p: p.P * p.B <= p.H),
+    Requirement("w > H/N_R", (PARALLEL_REDUCE_PIPELINES, BOUND_FORMULAS),
                 lambda p: p.w <= p.H / p.N_R),
-    Requirement("v <= H/N_M", "v > H/N_M", (MAP_TASK_PIPELINES, BOUND_FORMULAS),
+    Requirement("v > H/N_M", (MAP_TASK_PIPELINES, BOUND_FORMULAS),
                 lambda p: p.v <= p.H / p.N_M),
-    Requirement("v <= min(M-B, ceil(H/P))", "v > meta-column capacity",
-                (MAP_TASK_PIPELINES,), lambda p: p.v <= min(p.M - p.B, ceil_div(p.H, p.P))),
+    Requirement("v > meta-column capacity", (MAP_TASK_PIPELINES,),
+                lambda p: p.v <= min(p.M - p.B, ceil_div(p.H, p.P))),
 )
 
 
@@ -120,49 +118,48 @@ def _d(params: Params) -> float:
     return max(2.0, min(params.M / params.B, params.H / (params.P * params.B)))
 
 
-def _log_d(params: Params, x: float) -> float:
-    if x <= 0:
-        return 0.0
-    return math.log2(x) / math.log2(_d(params))
+def log2_p(P: int) -> float:
+    """log2 P, the additive term of every variant; 0 for one processor."""
+    return math.log2(P) if P > 1 else 0.0
+
+
+def _merge(params: Params, arg: float) -> float:
+    """scan * lgb(d, arg): a sorting-based cell's leading term."""
+    p = params
+    return p.H / (p.P * p.B) * lgb(_d(p), arg)
+
+
+# Leading term of each complexity-table cell, (map type, reduce type),
+# in catalog order.  The additive O(log P) term every variant carries
+# is left out.
+COMPLEXITY: dict[tuple[str, str | None], Callable[[Params], float]] = {
+    (UNORDERED, NONPARALLEL): lambda p: _merge(p, p.N_R),
+    (UNORDERED, PARALLEL): lambda p: _merge(p, p.N_R * p.w / p.B),
+    (SORTED, NONPARALLEL): lambda p: _merge(p, min(p.N_M * p.N_R * p.B / p.H, p.N_R, p.N_M)),
+    (SORTED, PARALLEL): lambda p: _merge(p, min(p.N_M * p.N_R * p.w / p.H, p.N_R * p.w / p.B)),
+    (PARALLEL_MAP, NONPARALLEL): lambda p: _merge(
+        p, min(p.N_M * p.N_R * p.v / p.H, p.N_M * p.v / p.B)),
+    (PARALLEL_MAP, PARALLEL): lambda p: _merge(p, p.N_M * p.N_R * p.v * p.w / (p.B * p.H)),
+    (DIRECT_SHUFFLE, None): lambda p: p.H / p.P,
+    (COMPLETE_MERGE, None): lambda p: _merge(p, p.H / p.B),
+}
 
 
 def table1_upper(params: Params, map_type: str,
                  reduce_type: str | None = None) -> CostEstimate:
-    """Leading upper-bound term for one algorithm variant.
-
-    The additive O(log P) term every variant carries is left out.
-    """
-    p = params
-    scan = p.H / (p.P * p.B)
-    d = _d(p)
-    if map_type == DIRECT_SHUFFLE:
-        return CostEstimate(p.H / p.P, "table1:direct_shuffle")
-    if map_type == COMPLETE_MERGE:
-        return CostEstimate(scan * lgb(d, p.H / p.B), "table1:complete_merge")
-    if reduce_type not in (NONPARALLEL, PARALLEL):
-        raise ValueError(f"unknown reduce type {reduce_type!r}")
-    if map_type == UNORDERED:
-        arg = (p.N_R if reduce_type == NONPARALLEL
-               else p.N_R * p.w / p.B)
-    elif map_type == SORTED:
-        arg = (min(p.N_M * p.N_R * p.B / p.H, p.N_R, p.N_M)
-               if reduce_type == NONPARALLEL
-               else min(p.N_M * p.N_R * p.w / p.H, p.N_R * p.w / p.B))
-    elif map_type == PARALLEL_MAP:
-        arg = (min(p.N_M * p.N_R * p.v / p.H, p.N_M * p.v / p.B)
-               if reduce_type == NONPARALLEL
-               else p.N_M * p.N_R * p.v * p.w / (p.B * p.H))
-    else:
-        raise ValueError(f"unknown map type {map_type!r}")
-    value = scan * lgb(d, arg)
-    return CostEstimate(value, f"table1:{map_type}/{reduce_type}")
+    """Leading upper-bound term of one complexity-table cell."""
+    term = COMPLEXITY.get((map_type, reduce_type))
+    if term is None:
+        raise ValueError(f"unknown complexity cell {(map_type, reduce_type)!r}")
+    cell = map_type if reduce_type is None else f"{map_type}/{reduce_type}"
+    return CostEstimate(term(params), f"table1:{cell}")
 
 
 def _lower(params: Params, formula_id: str, arg: float) -> CostEstimate:
     """min(H/P, scan * log_d(arg)), floored at the scanning bound."""
     p = params
     scan = p.H / (p.P * p.B)
-    leading = scan * _log_d(p, arg)
+    leading = scan * (math.log2(arg) / math.log2(_d(p))) if arg > 0 else 0.0
     value = min(p.H / p.P, max(leading, scan))
     return CostEstimate(value, formula_id)
 
@@ -181,62 +178,68 @@ def _counting_invalid(p: Params, formula_id: str,
 def thm1_lower(params: Params, layout: str) -> CostEstimate:
     """Combined matrix-vector product lower bound per input layout."""
     p = params
-    invalid = _counting_invalid(p, f"thm1:{layout}", layout == BEST_CASE)
-    if invalid:
-        return invalid
     if layout == MIXED:
-        arg = p.N_R * p.w / p.B
-        return _lower(p, "thm1:mixed", arg)
-    if layout == COLUMN:
-        arg = min(p.N_M * p.N_R * p.w / p.H, p.N_R * p.w / p.B)
-        return _lower(p, "thm1:column", arg)
-    if layout == BEST_CASE:
+        formula_id, arg = "thm1:mixed", p.N_R * p.w / p.B
+    elif layout == COLUMN:
+        formula_id, arg = "thm1:column", min(p.N_M * p.N_R * p.w / p.H, p.N_R * p.w / p.B)
+    elif layout == BEST_CASE:
+        formula_id = "thm1:best_case"
         arg = p.N_M * p.N_R * p.v * p.w / (p.H * min(p.M, p.H / p.P))
-        return _lower(p, "thm1:best_case", arg)
-    raise ValueError(f"unknown layout {layout!r}")
+    else:
+        raise ValueError(f"unknown layout {layout!r}")
+    return (_counting_invalid(p, formula_id, layout == BEST_CASE)
+            or _lower(p, formula_id, arg))
 
 
 def lemma2_lower(params: Params) -> CostEstimate:
     """Creating a row-major sparse matrix from v vectors."""
     p = params
-    invalid = _counting_invalid(p, "lemma2")
-    if invalid:
-        return invalid
     arg = min(p.N_M * p.N_R * p.v / p.H, p.N_M * p.v / p.B)
-    return _lower(p, "lemma2", arg)
+    return _counting_invalid(p, "lemma2") or _lower(p, "lemma2", arg)
 
 
 def transpose_lower(params: Params) -> CostEstimate:
     """Potential-argument bound for sparse transposition."""
     p = params
-    arg = min(p.B, p.N_M, p.N_R, p.H / p.B)
-    scan = p.H / (p.P * p.B)
-    value = max(scan * _log_d(p, arg), scan)
-    return CostEstimate(value, "transpose")
+    return _lower(p, "transpose", min(p.B, p.N_M, p.N_R, p.H / p.B))
 
 
 def combined_lower(params: Params, layout: str) -> CostEstimate:
     """Transposition and counting bounds merged, plus the log P floor."""
     p = params
-    invalid = _counting_invalid(p, f"combined:{layout}")
-    if invalid:
-        return invalid
+    formula_id = f"combined:{layout}"
     if layout == COLUMN:
         arg = min(p.N_M * p.N_R * p.B / p.H, p.N_M, p.N_R, p.H / p.B)
     elif layout == MIXED:
         arg = min(p.N_R, p.H / p.B)
     else:
         raise ValueError(f"unknown layout {layout!r}")
-    scan = p.H / (p.P * p.B)
-    leading = min(p.H / p.P, max(scan * _log_d(p, arg), scan))
-    logp = math.log2(p.P) if p.P > 1 else 0.0
-    return CostEstimate(max(leading, logp), f"combined:{layout}")
+    invalid = _counting_invalid(p, formula_id)
+    if invalid:
+        return invalid
+    return CostEstimate(max(_lower(p, formula_id, arg).value, log2_p(p.P)), formula_id)
 
 
 def scatter_gather_floor(params: Params) -> CostEstimate:
     """Omega(log P) floor from the exclusive-write requirement."""
-    logp = math.log2(params.P) if params.P > 1 else 0.0
-    return CostEstimate(logp, "scatter_gather")
+    return CostEstimate(log2_p(params.P), "scatter_gather")
+
+
+# Lower bounds in catalog order: (formula, sweep column, paired upper
+# cell).  A sweep row's lb_combined column holds the combined bound of
+# its own input layout.  The entries look their formula up at call
+# time, so a wrapper put on a module attribute after import sees the
+# call.
+LOWER_BOUNDS = (
+    (lambda p: thm1_lower(p, MIXED), "lb_thm1_mixed", (UNORDERED, PARALLEL)),
+    (lambda p: thm1_lower(p, COLUMN), "lb_thm1_column", (SORTED, PARALLEL)),
+    (lambda p: thm1_lower(p, BEST_CASE), "lb_thm1_best", (PARALLEL_MAP, PARALLEL)),
+    (lambda p: lemma2_lower(p), "lb_lemma2", (PARALLEL_MAP, NONPARALLEL)),
+    (lambda p: transpose_lower(p), "lb_transpose", None),
+    (lambda p: combined_lower(p, MIXED), "lb_combined", (UNORDERED, NONPARALLEL)),
+    (lambda p: combined_lower(p, COLUMN), "lb_combined", (SORTED, NONPARALLEL)),
+    (lambda p: scatter_gather_floor(p), None, None),
+)
 
 
 # -- togetherness potential ---------------------------------------------------
@@ -311,8 +314,8 @@ class PotentialTracker:
     a block address a >= 0 or processor p as ~p.  ``counts`` holds only
     the containers that rate something: a container leaves it when its
     last count drops to 0 and comes back with its next count.  ``held[p]``
-    holds the rated elements in p's memory, ``holders`` counts the
-    memories holding each and ``twice`` the elements held by two or more.
+    holds the rated elements in p's memory and ``holders`` counts the
+    memories holding each.
     ``home``, indexed by ``Element.uid``, names the block that last
     received an element while that block still holds it, or None; the
     element counts there while no memory holds it.  The table grows when
@@ -340,7 +343,6 @@ class PotentialTracker:
         self.held: list[set[Element]] = [set() for _ in range(P)]
         self.parked: list[dict[Element, None]] = [{} for _ in range(P)]
         self.holders: dict[Element, int] = {}
-        self.twice = 0
         self.home: list[int | None] = [None] * (1 + max(
             (e.uid for elems in initial_image.values() for e in elems), default=-1))
         self.counts: dict[int, dict[int, int]] = {}
@@ -379,7 +381,6 @@ class PotentialTracker:
     def drop(self, p: int, elems: Iterable[Element]) -> None:
         out_of, home, holders, count = self.out_of, self.home, self.holders, self._count
         held, parked = self.held[p], self.parked[p]
-        twice = 0
         for e in elems:
             if e in parked:
                 del parked[e]
@@ -391,8 +392,6 @@ class PotentialTracker:
             n = holders[e] - 1
             if n:
                 holders[e] = n
-                if n == 1:
-                    twice -= 1
             else:
                 del holders[e]
                 a = home[e.uid]
@@ -400,7 +399,6 @@ class PotentialTracker:
                     # the last holder let go: the rating rests at home again
                     count(a, o, 1)
             count(~p, o, -1)
-        self.twice += twice
 
     def compute(self, p: int, consumed: tuple, produced: tuple) -> None:
         """Drops what p consumed and parks what it produced, which has no home yet."""
@@ -429,7 +427,6 @@ class PotentialTracker:
         """p takes ``elems``, none of which it holds, into memory."""
         out_of, home, holders, held = self.out_of, self.home, self.holders, self.held[p]
         count = self._count
-        twice = 0
         for e in elems:
             o = out_of(e)
             if o is None:
@@ -437,9 +434,11 @@ class PotentialTracker:
             held.add(e)
             n = holders.get(e, 0)
             holders[e] = n + 1
-            if n == 1:
-                twice += 1
-            elif not n:
+            if n:
+                # reads follow the step's drops, so two memories hold e
+                # at this boundary
+                self.copies = True
+            else:
                 u = e.uid
                 if u >= len(home):   # first read of a produced element
                     home.extend([None] * (u + 1 - len(home)))
@@ -448,7 +447,6 @@ class PotentialTracker:
                     # the first holder takes the rating off its home block
                     count(a, o, -1)
             count(~p, o, 1)
-        self.twice += twice
 
     def _write(self, addr: int, elems: tuple, old: tuple) -> None:
         # the writer holds every element it outputs, so a rated element
@@ -477,8 +475,6 @@ class PotentialTracker:
         if not self._open:
             return
         self._open = False
-        if self.twice:
-            self.copies = True
         delta, self.change = self.change, 0.0
         if delta > self.bound + 1e-9:
             self.violations.append(len(self.deltas))

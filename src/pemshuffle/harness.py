@@ -327,7 +327,7 @@ def run_point(algorithm: str, point: dict[str, int], seed: int,
                        potential="")
         else:
             row.update(status="ok", reason="", leading_term=0.0,
-                       log2_p=math.log2(point["P"]) if point["P"] > 1 else 0.0,
+                       log2_p=cm.log2_p(point["P"]),
                        **result)
             if not primitive:
                 row["leading_term"] = cm.table1_upper(params, *pipe.cell).value
@@ -338,30 +338,9 @@ def run_point(algorithm: str, point: dict[str, int], seed: int,
     return {f: row.get(f) for f in FIELDNAMES}
 
 
-# Lower bounds in catalog order: (formula, sweep column, matching upper
-# cell).  A sweep row's lb_combined column holds the combined bound of
-# its own input layout.  The formulas are looked up in ``cm`` at call
-# time, as in _MAP_STEP.
-_LOWER_BOUNDS = (
-    (lambda p: cm.thm1_lower(p, cm.MIXED), "lb_thm1_mixed",
-     (cm.UNORDERED, cm.PARALLEL)),
-    (lambda p: cm.thm1_lower(p, cm.COLUMN), "lb_thm1_column",
-     (cm.SORTED, cm.PARALLEL)),
-    (lambda p: cm.thm1_lower(p, cm.BEST_CASE), "lb_thm1_best",
-     (cm.PARALLEL_MAP, cm.PARALLEL)),
-    (lambda p: cm.lemma2_lower(p), "lb_lemma2", (cm.PARALLEL_MAP, cm.NONPARALLEL)),
-    (lambda p: cm.transpose_lower(p), "lb_transpose", None),
-    (lambda p: cm.combined_lower(p, cm.MIXED), "lb_combined",
-     (cm.UNORDERED, cm.NONPARALLEL)),
-    (lambda p: cm.combined_lower(p, cm.COLUMN), "lb_combined",
-     (cm.SORTED, cm.NONPARALLEL)),
-    (lambda p: cm.scatter_gather_floor(p), None, None),
-)
-
-
 def _attach_bounds(row: dict, params: cm.Params, pipe: Pipeline) -> None:
     own = "combined:" + (cm.COLUMN if pipe.layout == COLUMN_MAJOR else cm.MIXED)
-    for bound, col, _ in _LOWER_BOUNDS:
+    for bound, col, _ in cm.LOWER_BOUNDS:
         if col is None:
             continue
         est = bound(params)
@@ -496,8 +475,8 @@ def check_bounds_consistency(report: Report, K: float = 8.0) -> list[str]:
         if not r["leading_term"]:
             continue
         params = _params(r)
-        logp = math.log2(r["P"]) if r["P"] > 1 else 0.0
-        for bound, _, cell in _LOWER_BOUNDS:
+        logp = cm.log2_p(r["P"])
+        for bound, _, cell in cm.LOWER_BOUNDS:
             if cell is None:
                 continue
             lower = bound(params)
@@ -540,13 +519,10 @@ def verify(spec: ExperimentSpec,
 def bounds_catalog(spec: ExperimentSpec) -> str:
     """CSV formula catalog over the grid: formula_id, parameters, value, valid."""
     lines = ["formula_id,N_M,N_R,H,v,w,P,M,B,value,valid"]
-    uppers = [(m, r) for m in (cm.UNORDERED, cm.SORTED, cm.PARALLEL_MAP)
-              for r in (cm.NONPARALLEL, cm.PARALLEL)]
-    uppers += [(cm.DIRECT_SHUFFLE, None), (cm.COMPLETE_MERGE, None)]
     for point in spec.points():
         params = _params(point)
-        ests = ([cm.table1_upper(params, *cell) for cell in uppers]
-                + [bound(params) for bound, _, _ in _LOWER_BOUNDS])
+        ests = ([cm.table1_upper(params, *cell) for cell in cm.COMPLEXITY]
+                + [bound(params) for bound, _, _ in cm.LOWER_BOUNDS])
         for est in ests:
             vals = ",".join(str(point[k]) for k in GRID_KEYS)
             lines.append(f"{est.formula_id},{vals},{_fmt(est.value)},{est.valid}")

@@ -220,7 +220,7 @@ class Machine:
                 raise ConfigurationError(f"duplicate initial block {addr}")
             if addr < 0 or addr >= INBOX_BASE:
                 raise ConfigurationError(f"initial address {addr} out of range")
-            block = tuple(self._as_element(e) for e in elems)
+            block = tuple(self._new_element(key, payload) for key, payload in elems)
             if len(block) > config.B:
                 raise ConfigurationError(
                     f"initial block {addr} holds {len(block)} > B={config.B} elements")
@@ -232,12 +232,6 @@ class Machine:
         self.initial_image = dict(self._ext)
 
     # -- construction helpers -------------------------------------------
-
-    def _as_element(self, spec) -> Element:
-        if isinstance(spec, Element):
-            return spec
-        key, payload = spec
-        return self._new_element(key, payload)
 
     def _new_element(self, key, payload) -> Element:
         e = Element(self._uid, key, payload)
@@ -419,7 +413,7 @@ class Machine:
 
 def create_machine(config: MachineConfig,
                    initial_contents: Iterable[tuple[int, Iterable]] = ()) -> Machine:
-    """Build a machine with the given external memory image."""
+    """Build a machine holding blocks of (key, payload) pairs at their addresses."""
     return Machine(config, initial_contents)
 
 

@@ -13,13 +13,15 @@ and the full-trace digest of every pipeline at the TRACE_POINTS under
 CREW and EREW in tests/data/golden_traces.json.  A pure speed-up or
 refactor must leave all of them untouched; ``--check`` recomputes them
 in memory, writes nothing, names every row whose I/O count or trace
-moved and exits 1 if any file differs.
+moved and every bound catalog line that changed, and exits 1 if any
+file differs.
 """
 
 import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -254,6 +256,12 @@ def check_golden() -> int:
     for k in sorted(frozen_traces.keys() | traces.keys()):
         if frozen_traces.get(k) != traces.get(k):
             print(f"moved trace: {k}: {frozen_traces.get(k)} -> {traces.get(k)}")
+    bounds = texts[GOLDEN_BOUNDS_PATH].splitlines()
+    frozen_bounds = (frozen_text(GOLDEN_BOUNDS_PATH).splitlines()
+                     if os.path.exists(GOLDEN_BOUNDS_PATH) else [])
+    for old, new in itertools.zip_longest(frozen_bounds, bounds):
+        if old != new:
+            print(f"moved bound: {old} -> {new}")
     differ = [path for path, text in texts.items()
               if not os.path.exists(path) or frozen_text(path) != text]
     for path in differ:

@@ -206,22 +206,12 @@ def test_criterion_5_bounds_consistency():
                                               P=P, M=M_mult * B, B=B)
                                 if p.failed_preconditions():
                                     continue
-                                logp = math.log2(P) if P > 1 else 0.0
-                                pairs = [
-                                    (cm.thm1_lower(p, cm.MIXED),
-                                     cm.table1_upper(p, cm.UNORDERED, cm.PARALLEL)),
-                                    (cm.thm1_lower(p, cm.COLUMN),
-                                     cm.table1_upper(p, cm.SORTED, cm.PARALLEL)),
-                                    (cm.thm1_lower(p, cm.BEST_CASE),
-                                     cm.table1_upper(p, cm.PARALLEL_MAP, cm.PARALLEL)),
-                                    (cm.lemma2_lower(p),
-                                     cm.table1_upper(p, cm.PARALLEL_MAP, cm.NONPARALLEL)),
-                                    (cm.combined_lower(p, cm.MIXED),
-                                     cm.table1_upper(p, cm.UNORDERED, cm.NONPARALLEL)),
-                                    (cm.combined_lower(p, cm.COLUMN),
-                                     cm.table1_upper(p, cm.SORTED, cm.NONPARALLEL)),
-                                ]
-                                for lower, upper in pairs:
+                                logp = cm.log2_p(P)
+                                for bound, _, cell in cm.LOWER_BOUNDS:
+                                    if cell is None:
+                                        continue
+                                    lower = bound(p)
+                                    upper = cm.table1_upper(p, *cell)
                                     if not lower.valid:
                                         if lower.value is not None:
                                             invalid_report_numeric = True

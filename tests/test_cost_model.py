@@ -193,6 +193,20 @@ class TestCombined:
             assert combined.value >= cm.scatter_gather_floor(p).value - 1e-9
 
 
+# Every lower bound is valid at VALID, which meets the best case's
+# sixth-root condition; the counting bounds are invalid at DENSE.
+VALID = cm.Params(N_M=2 ** 12, N_R=2 ** 12, H=2 ** 13, P=4, M=64, B=8)
+DENSE = cm.Params(N_M=16, N_R=16, H=256, P=2, M=24, B=4)
+
+
+@pytest.mark.parametrize("bound", [b for b, _, _ in cm.LOWER_BOUNDS],
+                         ids=[b(VALID).formula_id for b, _, _ in cm.LOWER_BOUNDS])
+def test_one_formula_id_per_bound(bound):
+    valid, dense = bound(VALID), bound(DENSE)
+    assert valid.valid
+    assert dense.formula_id == valid.formula_id
+
+
 def recording(machine):
     """The machine with an IOTrace attached, as the potential replay needs."""
     machine.observer = IOTrace(machine.config.P)

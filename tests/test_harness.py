@@ -506,6 +506,19 @@ class TestCli:
             assert err.splitlines()[-1] == \
                 f"pemshuffle: error: --algorithms {algorithms!r} names no pipeline"
 
+    @pytest.mark.parametrize("line", ["H = []", "seeds = []"], ids=["no-H", "no-seed"])
+    def test_empty_grid_list_is_a_usage_error(self, tmp_path, capsys, line):
+        path = tmp_path / "grid.cfg"
+        path.write_text(SMALL_GRID + line + "\n")
+        for command in ("sweep", "calibrate", "verify", "bounds"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([command, "--grid", str(path)])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines()[-1] == \
+                f"pemshuffle: error: {path}: an empty list leaves no row to run"
+
     def test_erew_policy_flag(self, tmp_path):
         grid = self.write_grid(tmp_path)
         out = tmp_path / "report.csv"
