@@ -32,13 +32,7 @@ from .machine import (
     write_out,
 )
 from .primitives import contract, prefix_sum, range_bounded_load_balance
-from .workload import (
-    COLUMN_MAJOR,
-    MIXED_COLUMN,
-    MapTask,
-    ShuffleInstance,
-    instance_blocks,
-)
+from .workload import COLUMN_MAJOR, MapTask, ShuffleInstance, instance_blocks
 
 
 def _key(e: Element):
@@ -98,13 +92,6 @@ def run_elements(machine: Machine, run: Run) -> list[Element]:
     return out
 
 
-def _check_sorted(machine: Machine, run: Run) -> None:
-    elems = run_elements(machine, run)
-    for a, b in zip(elems, elems[1:]):
-        if a.key > b.key:
-            raise SimulationError("input run is not sorted")
-
-
 def _require_block_parallelism(H: int, config: MachineConfig) -> None:
     if H < config.P * config.B:
         raise SimulationError(
@@ -133,10 +120,21 @@ def _read_window(machine: Machine, p: int, addr: int, base: int, lo: int,
     block = yield Input(addr)
     keep = block[max(0, lo - base):max(0, hi - base)]
     held.update(keep)
-    drop = [e for e in block if e not in held]
-    if drop:
-        machine.discard(p, drop)
+    if len(keep) < len(block):
+        drop = [e for e in block if e not in held]
+        if drop:
+            machine.discard(p, drop)
     return keep
+
+
+def _read_span(machine: Machine, p: int, runs: Sequence[Run], lo: int,
+               hi: int, held: set[Element]):
+    """``_read_window`` over every block holding positions [lo, hi) of
+    the runs laid end to end; returns the kept elements in order."""
+    kept: list[Element] = []
+    for _, addr, base, win_lo, win_hi in _span_blocks(runs, lo, hi, machine.config.B):
+        kept.extend((yield from _read_window(machine, p, addr, base, win_lo, win_hi, held)))
+    return kept
 
 
 # -- generic k-way merging ---------------------------------------------------
@@ -264,8 +262,8 @@ def _merge_groups_parallel(machine: Machine, groups: Sequence[Sequence[Run]],
 
 
 def parallel_merge_to_R(machine: Machine, runs: Sequence[Run], R: int,
-                        d: int | None = None, combine: Callable | None = None,
-                        validate: bool = True) -> MetaRunSet:
+                        d: int | None = None,
+                        combine: Callable | None = None) -> MetaRunSet:
     """Merge sorted runs until at most max(R, 1) remain.
 
     Rounds merge groups of up to d adjacent runs; with runs_in <= R the
@@ -273,9 +271,6 @@ def parallel_merge_to_R(machine: Machine, runs: Sequence[Run], R: int,
     """
     R = max(1, R)
     runs = [r for r in runs if r.count > 0]
-    if validate:
-        for r in runs:
-            _check_sorted(machine, r)
     fanin = _effective_fanin(machine.config, d)
     rounds = 0
     while len(runs) > R:
@@ -302,8 +297,9 @@ def parallel_merge_to_R(machine: Machine, runs: Sequence[Run], R: int,
 
 
 def _local_merge_runs(machine: Machine, p: int, runs: list[Run], target: int,
-                      fanin: int, sink: list[Run]):
-    """Merge adjacent presorted runs down to at most ``target``."""
+                      fanin: int):
+    """Merge adjacent presorted runs down to at most ``target``; returns
+    the runs left."""
     while len(runs) > target:
         nxt: list[Run] = []
         for g in range(0, len(runs), fanin):
@@ -317,31 +313,27 @@ def _local_merge_runs(machine: Machine, p: int, runs: list[Run], target: int,
             yield from _merge_task(machine, p, srcs, list(out.addrs()), count)
             nxt.append(Run(out, 0, count))
         runs = nxt
-    sink.extend(runs)
+    return runs
 
 
 def _formation_and_local_merge(machine: Machine, region: Region, blk_lo: int,
-                               blk_hi: int, p: int, target: int,
-                               fanin: int, sink: list[Run]):
+                               blk_hi: int, p: int, target: int, fanin: int):
     """Sort batches of up to M elements in memory, write each back as a
-    presorted run, then locally merge down to ``target`` runs."""
+    presorted run, then locally merge down to ``target`` runs; returns
+    the runs left."""
     B = machine.config.B
     batch_cap = machine.config.M // B
+    whole = (Run(region, 0, region.count),)
     runs: list[Run] = []
-    bi = blk_lo
-    while bi < blk_hi:
-        hi = min(blk_hi, bi + batch_cap)
-        elems: list[Element] = []
-        for b in range(bi, hi):
-            block = yield Input(region.addr(b))
-            elems.extend(block)
+    for bi in range(blk_lo, blk_hi, batch_cap):
+        elems = yield from _read_span(machine, p, whole, bi * B,
+                                      min(blk_hi, bi + batch_cap) * B, set())
         elems.sort(key=_key)
         out = machine.alloc_region(len(elems))
         for wi, ofs in enumerate(range(0, len(elems), B)):
             yield from write_out(machine, p, out.addr(wi), elems[ofs:ofs + B])
         runs.append(Run(out, 0, len(elems)))
-        bi = hi
-    yield from _local_merge_runs(machine, p, runs, target, fanin, sink)
+    return (yield from _local_merge_runs(machine, p, runs, target, fanin))
 
 
 def _sort_to_runs(machine: Machine, region: Region, H: int, R: int,
@@ -351,25 +343,12 @@ def _sort_to_runs(machine: Machine, region: Region, H: int, R: int,
     _require_block_parallelism(H, cfg)
     fanin = _effective_fanin(cfg, d)
     target_local = max(1, R // cfg.P)
-    sinks: list[list[Run]] = [[] for _ in range(cfg.P)]
-    each_share(machine, region.blocks, lambda p, lo, hi: _formation_and_local_merge(
-        machine, region, lo, hi, p, target_local, fanin, sinks[p]))
-    all_runs = [r for sink in sinks for r in sink]
-    return parallel_merge_to_R(machine, all_runs, R, d, validate=False)
+    local = each_share(machine, region.blocks, lambda p, lo, hi: _formation_and_local_merge(
+        machine, region, lo, hi, p, target_local, fanin))
+    return parallel_merge_to_R(machine, [r for runs in local for r in runs], R, d)
 
 
 # -- map-dependent preparation -----------------------------------------------
-
-
-def prepare_unordered_map(machine: Machine, region: Region,
-                          instance: ShuffleInstance, R: int) -> MetaRunSet:
-    """Meta-runs from a mixed column layout via parallel merge sort."""
-    if instance.layout != MIXED_COLUMN:
-        raise SimulationError(
-            f"unordered-map preparation needs mixed column layout, got {instance.layout}")
-    cfg = machine.config
-    d = merge_degree(instance.H, cfg.P, cfg.B, cfg.M)
-    return _sort_to_runs(machine, region, instance.H, R, d)
 
 
 def _key_stretches(elems: Sequence[Element], part: int):
@@ -409,23 +388,26 @@ def _columns_beat_sorting(cfg: MachineConfig, H: int, n_columns: int,
     return col_passes < sort_passes and col_runs <= sort_runs
 
 
-def prepare_sorted_map(machine: Machine, region: Region,
-                       instance: ShuffleInstance, R: int) -> MetaRunSet:
-    """Meta-runs from a column major layout: columns are presorted runs.
+def prepare_map(machine: Machine, region: Region, instance: ShuffleInstance,
+                R: int) -> MetaRunSet:
+    """Meta-runs of a map output; the instance layout picks the path.
 
-    Thin rows (H/N_R < B) fall back to the unordered-map algorithm, as
-    do instances with more columns than pairs, which load balancing
-    cannot split, and instances where sorting each processor's share
-    from scratch is estimated cheaper than merging its column pieces.
+    Mixed column input (unordered map) goes through the parallel merge
+    sort.  In column major input (sorted map) the columns are presorted
+    runs, which pass through when there are at most R of them and are
+    otherwise load balanced and merged.  Thin rows (H/N_R < B) are
+    sorted instead, as are instances with more columns than pairs,
+    which load balancing cannot split, and instances where sorting each
+    processor's share from scratch is estimated cheaper than merging
+    its column pieces.
     """
-    if instance.layout != COLUMN_MAJOR:
-        raise SimulationError(
-            f"sorted-map preparation needs column major layout, got {instance.layout}")
     cfg = machine.config
     H = instance.H
+    d = merge_degree(H, cfg.P, cfg.B, cfg.M)
+    if instance.layout != COLUMN_MAJOR:
+        return _sort_to_runs(machine, region, H, R, d)
     _require_block_parallelism(H, cfg)
     R = max(1, R)
-    d = merge_degree(H, cfg.P, cfg.B, cfg.M)
     fanin = _effective_fanin(cfg, d)
 
     columns = _column_runs(machine, region)
@@ -438,7 +420,6 @@ def prepare_sorted_map(machine: Machine, region: Region,
     spans = range_bounded_load_balance(
         machine, region, H, instance.N_M, lambda e: e.key[1])
     target_local = max(1, R // cfg.P)
-    sinks: list[list[Run]] = [[] for _ in range(cfg.P)]
     scripts = []
     for p, span in enumerate(spans):
         pieces = []
@@ -447,11 +428,9 @@ def prepare_sorted_map(machine: Machine, region: Region,
             hi = min(col.hi, span.end)
             if lo < hi:
                 pieces.append(Run(region, lo, hi))
-        scripts.append(_local_merge_runs(machine, p, pieces, target_local,
-                                         fanin, sinks[p]))
-    run_lockstep(machine, scripts)
-    all_runs = [r for sink in sinks for r in sink]
-    return parallel_merge_to_R(machine, all_runs, R, d, validate=False)
+        scripts.append(_local_merge_runs(machine, p, pieces, target_local, fanin))
+    local = run_lockstep(machine, scripts)
+    return parallel_merge_to_R(machine, [r for runs in local for r in runs], R, d)
 
 
 def meta_column_capacity(config: MachineConfig, H: int) -> int:
@@ -509,6 +488,7 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
                   for pairs in mc_pairs]
 
     nbs = [ceil_div(len(pairs), B) for pairs in mc_pairs]
+    vectors = (Run(vec_region, 0, vec_region.count),)
 
     def emit_script(p: int, lo: int, hi: int):
         for mc, blo, bhi in _block_pieces(nbs, lo, hi):
@@ -516,9 +496,7 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
             ent_lo = (col_lo - 1) * task.v
             ent_hi = col_hi * task.v
             held: set[Element] = set()
-            for vb in range(ent_lo // B, ceil_div(ent_hi, B)):
-                yield from _read_window(machine, p, vec_region.addr(vb), vb * B,
-                                        ent_lo, ent_hi, held)
+            yield from _read_span(machine, p, vectors, ent_lo, ent_hi, held)
             pairs = mc_pairs[mc]
             for bi in range(blo, bhi):
                 chunk = pairs[bi * B: min((bi + 1) * B, len(pairs))]
@@ -531,7 +509,7 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
     runs = [Run(mc_regions[mc], 0, len(pairs))
             for mc, pairs in enumerate(mc_pairs) if pairs]
     # The merge here follows the M/B-way budget, not the general degree.
-    return parallel_merge_to_R(machine, runs, R, None, validate=False)
+    return parallel_merge_to_R(machine, runs, R, None)
 
 
 # -- reduce-dependent finalisation -------------------------------------------
@@ -669,11 +647,7 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
             start, size = extent[ti]
             g_lo = start + q * B
             g_hi = min(start + size, g_lo + B)
-            picked: list[Element] = []
-            pick_set: set[Element] = set()
-            for ri, addr, base, win_lo, win_hi in _span_blocks(runs, g_lo, g_hi, B):
-                picked.extend((yield from _read_window(
-                    machine, p, addr, base, win_lo, win_hi, pick_set)))
+            picked = yield from _read_span(machine, p, runs, g_lo, g_hi, set())
             yield from write_out(machine, p, staging.addr(dest[ti] + q), picked)
 
     each_share(machine, len(out_blocks), write_script)
@@ -739,8 +713,7 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet, N_R: int,
     # Partial-result segments ordered by (meta-run, position) keep the
     # fold order equal to the original sequence order per key.
     segments = [frags[k] for k in sorted(frags)]
-    merged = parallel_merge_to_R(machine, segments, 1,
-                                 combine=operator.add, validate=False)
+    merged = parallel_merge_to_R(machine, segments, 1, combine=operator.add)
     final = merged.runs[0] if merged.runs else None
     return _fill_grid(machine, grid, final, N_R, w)
 
@@ -763,10 +736,9 @@ def _fill_grid(machine: Machine, grid: Region, final: Run | None,
             held: dict[int, Element] = {}
             if need and final is not None:
                 p_lo, p_hi = pos_of[need[0]], pos_of[need[-1]] + 1
-                for _, addr, base, lo, hi in _span_blocks((final,), p_lo, p_hi, B):
-                    for e in (yield from _read_window(machine, p, addr, base, lo, hi, set())):
-                        i, l = e.key
-                        held[(i - 1) * w + (l - 1)] = e
+                for e in (yield from _read_span(machine, p, (final,), p_lo, p_hi, set())):
+                    i, l = e.key
+                    held[(i - 1) * w + (l - 1)] = e
             cells: list[Element] = []
             for g in ranks:
                 if g in held:
@@ -783,32 +755,25 @@ def _fill_grid(machine: Machine, grid: Region, final: Run | None,
 
 
 def make_direct_plan(instance: ShuffleInstance) -> list[int]:
-    """Row-major rank of every source position (non-uniform knowledge)."""
-    order = sorted(range(instance.H),
-                   key=lambda idx: (instance.triples[idx].i, instance.triples[idx].j))
-    plan = [0] * instance.H
-    for rank, idx in enumerate(order):
-        plan[idx] = rank
-    return plan
+    """Source position of every row-major rank (non-uniform knowledge)."""
+    return sorted(range(instance.H),
+                  key=lambda idx: (instance.triples[idx].i, instance.triples[idx].j))
 
 
 def direct_shuffle(machine: Machine, region: Region, instance: ShuffleInstance,
                    plan: Sequence[int] | None = None) -> Region:
     """Write every triple straight to its row-major slot.
 
-    The destination of each source position comes from the precomputed
-    plan; the output splits into block-aligned consecutive parts per
-    processor, so concurrent reads are the only shared access.
+    ``plan`` lists the source position of every row-major rank, as
+    ``make_direct_plan`` computes it when none is given; the output
+    splits into block-aligned consecutive parts per processor, so
+    concurrent reads are the only shared access.
     """
     cfg = machine.config
     H = instance.H
     _require_block_parallelism(H, cfg)
-    if plan is None:
-        plan = make_direct_plan(instance)
+    order = make_direct_plan(instance) if plan is None else plan
     B = cfg.B
-    order = [0] * H
-    for src, rank in enumerate(plan):
-        order[rank] = src
     out = machine.alloc_region(H)
 
     def script(p: int, blo: int, bhi: int):
@@ -851,7 +816,7 @@ def complete_sort(machine: Machine, region: Region,
         fanin = _effective_fanin(cfg, d)
         formed = cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M)
         if _merge_passes(len(columns), 1, fanin)[0] <= 1 + _merge_passes(formed, 1, fanin)[0]:
-            meta = parallel_merge_to_R(machine, columns, 1, d, validate=False)
+            meta = parallel_merge_to_R(machine, columns, 1, d)
             return finalize_nonparallel_reduce(machine, meta)
     meta = _sort_to_runs(machine, region, H, 1, d)
     return finalize_nonparallel_reduce(machine, meta)

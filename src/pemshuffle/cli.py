@@ -38,7 +38,7 @@ def _spec_from_args(parser: argparse.ArgumentParser, args) -> harness.Experiment
         spec.algorithms = names
     if args.policy:
         spec.policy = args.policy
-    if not spec.points() or not spec.seeds:
+    if not spec.points() or not spec.seeds or not spec.algorithms:
         parser.error(f"{args.grid}: an empty list leaves no row to run")
     return spec
 

@@ -62,7 +62,7 @@ class ExperimentSpec:
 def parse_spec_text(text: str) -> ExperimentSpec:
     """Parse the line-oriented ``key = value`` config with list syntax."""
     grid: dict[str, list[int]] = {}
-    algorithms: list[str] = []
+    algorithms = list(PIPELINES)
     seeds = [0]
     policy = CREW
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -99,8 +99,6 @@ def parse_spec_text(text: str) -> ExperimentSpec:
             policy = value
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-    if not algorithms:
-        algorithms = list(PIPELINES)
     for a in algorithms:
         if a not in PIPELINES:
             raise ValueError(f"unknown algorithm {a!r}; known: {', '.join(PIPELINES)}")
@@ -179,8 +177,8 @@ def _skip_reason(params: cm.Params, pipe: Pipeline) -> str | None:
 _MAP_STEP = {
     cm.DIRECT_SHUFFLE: lambda m, reg, inst, R: alg.direct_shuffle(m, reg, inst),
     cm.COMPLETE_MERGE: lambda m, reg, inst, R: alg.complete_sort(m, reg, inst),
-    cm.UNORDERED: lambda m, reg, inst, R: alg.prepare_unordered_map(m, reg, inst, R),
-    cm.SORTED: lambda m, reg, inst, R: alg.prepare_sorted_map(m, reg, inst, R),
+    cm.UNORDERED: lambda m, reg, inst, R: alg.prepare_map(m, reg, inst, R),
+    cm.SORTED: lambda m, reg, inst, R: alg.prepare_map(m, reg, inst, R),
     cm.PARALLEL_MAP: lambda m, reg, task, R: alg.prepare_parallel_map(m, reg, task, R),
 }
 

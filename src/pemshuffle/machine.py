@@ -417,7 +417,7 @@ def create_machine(config: MachineConfig,
     return Machine(config, initial_contents)
 
 
-def run_lockstep(machine: Machine, scripts: Sequence) -> None:
+def run_lockstep(machine: Machine, scripts: Sequence) -> list:
     """Advance per-processor action generators one step at a time.
 
     ``scripts[p]`` is processor p's generator, or None when p has
@@ -425,7 +425,8 @@ def run_lockstep(machine: Machine, scripts: Sequence) -> None:
     script yields Input, Output or None (idle) and is sent back its
     input content (None otherwise).  Scripts run in lockstep, each
     leaving when it finishes; a step in which every live script idles
-    is refused by ``parallel_step``.
+    is refused by ``parallel_step``.  Returns each script's return
+    value, None where a processor has no script.
     """
     P = machine.config.P
     if len(scripts) > P:
@@ -433,25 +434,29 @@ def run_lockstep(machine: Machine, scripts: Sequence) -> None:
             f"at most one script per processor ({P}), got {len(scripts)}")
     live = [(p, g) for p, g in enumerate(scripts) if g is not None]
     results: list = [None] * P
+    returned: list = [None] * len(scripts)
     while live:
         actions: list[Action] = [None] * P
         running = []
         for p, g in live:
             try:
                 actions[p] = g.send(results[p])
-            except StopIteration:
+            except StopIteration as stop:
+                returned[p] = stop.value
                 continue
             running.append((p, g))
         live = running
         if live:
             results = machine.parallel_step(actions)
+    return returned
 
 
-def each_share(machine: Machine, n: int, script: Callable) -> None:
+def each_share(machine: Machine, n: int, script: Callable) -> list:
     """Run ``script(p, lo, hi)`` in lockstep over even shares [lo, hi) of
-    n items; processors whose share is empty stay idle."""
+    n items; processors whose share is empty stay idle.  Returns the
+    scripts' return values in share order."""
     share = ceil_div(n, machine.config.P) or 1
-    run_lockstep(machine, [script(p, lo, min(n, lo + share))
+    return run_lockstep(machine, [script(p, lo, min(n, lo + share))
                            for p, lo in enumerate(range(0, n, share))])
 
 

@@ -20,13 +20,12 @@ from pemshuffle.algorithms import (
     nonparallel_run_target,
     parallel_merge_to_R,
     parallel_run_target,
+    prepare_map,
     prepare_parallel_map,
-    prepare_sorted_map,
-    prepare_unordered_map,
     run_elements,
     tile_table,
 )
-from pemshuffle.harness import run_point
+from pemshuffle.harness import load_pipeline, run_pipeline, run_point
 from pemshuffle.machine import (
     MachineConfig,
     Output,
@@ -126,15 +125,6 @@ class TestParallelMerge:
         assert len(meta.runs) == 8
         assert meta.rounds == 2   # ceil(log4(64/8))
 
-    def test_unsorted_input_rejected(self):
-        m = create_machine(MachineConfig(P=1, M=12, B=4))
-        region = m.alloc_region(4)
-        elems = [m.create(0, (9 - i, i), i) for i in range(4)]
-        m.parallel_step([Output(region.addr(0), elems)])
-        m.discard(0, elems)
-        with pytest.raises(SimulationError):
-            parallel_merge_to_R(m, [Run(region, 0, 4)], R=1)
-
 
 class TestPrepareUnordered:
     def test_spec_point(self):
@@ -143,7 +133,7 @@ class TestPrepareUnordered:
         m, region = machine_with_instance(cfg, inst)
         R = nonparallel_run_target(4096, 64, 8)
         assert R == 8
-        meta = prepare_unordered_map(m, region, inst, R)
+        meta = prepare_map(m, region, inst, R)
         assert len(meta.runs) == 8
         for r in meta.runs:
             keys = [e.key for e in run_elements(m, r)]
@@ -155,24 +145,26 @@ class TestPrepareUnordered:
         inst = generate(16, 16, 128, layout=MIXED_COLUMN, seed=1)
         cfg = MachineConfig(P=4, M=64, B=4)
         m, region = machine_with_instance(cfg, inst)
-        meta = prepare_unordered_map(m, region, inst, R=8)
+        meta = prepare_map(m, region, inst, R=8)
         assert meta.rounds == 0
         assert len(meta.runs) <= 8
         # formation only: one read and one write per block
         assert m.io_count <= 2 * math.ceil(region.blocks / 4)
 
-    def test_wrong_layout_rejected(self):
+    def test_column_major_input_is_accepted(self):
+        # the layout picks the map path, not the pipeline's name
         inst = generate(8, 8, 64, layout=COLUMN_MAJOR, seed=2)
-        cfg = MachineConfig(P=2, M=24, B=4)
-        m, region = machine_with_instance(cfg, inst)
-        with pytest.raises(SimulationError):
-            prepare_unordered_map(m, region, inst, nonparallel_run_target(64, 8, 4))
+        m, region, run_input = load_pipeline("unordered_nonparallel", inst, [[1] * 8],
+                                             MachineConfig(P=2, M=24, B=4))
+        out, _ = run_pipeline("unordered_nonparallel", inst, m, region, run_input)
+        assert region_payloads(m, out) == oracle_shuffle(inst)
+        m.assert_memories_empty()
 
     def test_composition_equals_oracle(self):
         inst = generate(32, 32, 512, layout=MIXED_COLUMN, seed=3)
         cfg = MachineConfig(P=4, M=32, B=4)
         m, region = machine_with_instance(cfg, inst)
-        meta = prepare_unordered_map(m, region, inst, nonparallel_run_target(512, 32, 4))
+        meta = prepare_map(m, region, inst, nonparallel_run_target(512, 32, 4))
         out = finalize_nonparallel_reduce(m, meta)
         assert region_payloads(m, out) == oracle_shuffle(inst)
         m.assert_memories_empty()
@@ -183,7 +175,7 @@ class TestPrepareSorted:
         inst = generate(4, 64, 256, layout=COLUMN_MAJOR, seed=4)
         cfg = MachineConfig(P=2, M=24, B=4)
         m, region = machine_with_instance(cfg, inst)
-        meta = prepare_sorted_map(m, region, inst, R=8)
+        meta = prepare_map(m, region, inst, R=8)
         assert m.io_count == 0
         assert len(meta.runs) <= 8
 
@@ -193,7 +185,7 @@ class TestPrepareSorted:
         cfg = MachineConfig(P=2, M=24, B=4)
         m, region = machine_with_instance(cfg, inst)
         assert inst.H / inst.N_R < cfg.B
-        meta = prepare_sorted_map(m, region, inst, nonparallel_run_target(128, 64, 4))
+        meta = prepare_map(m, region, inst, nonparallel_run_target(128, 64, 4))
         assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
         out = finalize_nonparallel_reduce(m, meta)
         assert region_payloads(m, out) == oracle_shuffle(inst)
@@ -202,7 +194,7 @@ class TestPrepareSorted:
         inst = generate(32, 16, 512, layout=COLUMN_MAJOR, seed=6)
         cfg = MachineConfig(P=4, M=32, B=4)
         m, region = machine_with_instance(cfg, inst)
-        meta = prepare_sorted_map(m, region, inst, nonparallel_run_target(512, 16, 4))
+        meta = prepare_map(m, region, inst, nonparallel_run_target(512, 16, 4))
         out = finalize_nonparallel_reduce(m, meta)
         assert region_payloads(m, out) == oracle_shuffle(inst)
         m.assert_memories_empty()
@@ -211,7 +203,7 @@ class TestPrepareSorted:
         inst = generate(16, 8, 128, layout=COLUMN_MAJOR, seed=7)
         cfg = MachineConfig(P=4, M=24, B=4)
         m, region = machine_with_instance(cfg, inst)
-        meta = prepare_sorted_map(m, region, inst, nonparallel_run_target(128, 8, 4))
+        meta = prepare_map(m, region, inst, nonparallel_run_target(128, 8, 4))
         assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
 
     # (point, forced-column counts, forced-sorting counts) of the
@@ -337,11 +329,7 @@ class TestFinalizeNonparallel:
             inst = generate(n_m, n_r, h, layout=layout, seed=trial)
             cfg = MachineConfig(P=P, M=M, B=B)
             m, region = machine_with_instance(cfg, inst)
-            R = nonparallel_run_target(h, n_r, B)
-            if layout == MIXED_COLUMN:
-                meta = prepare_unordered_map(m, region, inst, R)
-            else:
-                meta = prepare_sorted_map(m, region, inst, R)
+            meta = prepare_map(m, region, inst, nonparallel_run_target(h, n_r, B))
             out = finalize_nonparallel_reduce(m, meta)
             assert region_payloads(m, out) == oracle_shuffle(inst)
             m.assert_memories_empty()
@@ -353,7 +341,7 @@ class TestFinalizeParallel:
         cfg = MachineConfig(P=4, M=24, B=4)
         m, region = machine_with_instance(cfg, inst)
         R = parallel_run_target(inst.H, inst.N_R, 1, cfg.B)
-        meta = prepare_unordered_map(m, region, inst, R)
+        meta = prepare_map(m, region, inst, R)
         grid = finalize_parallel_reduce(m, meta, inst.N_R, 1)
         expected = oracle_combined_mxv(inst, [[1] * 16])
         got = {e.key: e.payload for e in m.region_elements(grid)}
@@ -366,8 +354,7 @@ class TestFinalizeParallel:
         vectors = [[1, 2, 3, 4, 5, 6, 7, 8], [2, 2, 2, 2, 1, 1, 1, 1]]
         prod = elementary_products(inst, vectors)
         m, region = machine_with_instance(cfg, prod)
-        meta = prepare_unordered_map(m, region, prod,
-                                     parallel_run_target(64, 8, 2, 4))
+        meta = prepare_map(m, region, prod, parallel_run_target(64, 8, 2, 4))
         grid = finalize_parallel_reduce(m, meta, 8, 2)
         expected = oracle_combined_mxv(inst, vectors)
         got = {e.key: e.payload for e in m.region_elements(grid)}
@@ -382,8 +369,7 @@ class TestFinalizeParallel:
         for P in (1, 2, 4, 8):
             cfg = MachineConfig(P=P, M=48, B=4)
             m, region = machine_with_instance(cfg, prod)
-            meta = prepare_unordered_map(
-                m, region, prod, parallel_run_target(512, 16, 4, 4))
+            meta = prepare_map(m, region, prod, parallel_run_target(512, 16, 4, 4))
             grid = finalize_parallel_reduce(m, meta, 16, 4)
             results.append(sorted((e.key, e.payload)
                                   for e in m.region_elements(grid)))

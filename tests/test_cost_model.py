@@ -112,8 +112,7 @@ class TestThm1:
                     if not lower.valid:
                         continue
                     upper = cm.table1_upper(p, cm.UNORDERED, cm.PARALLEL)
-                    logp = math.log2(P) if P > 1 else 0
-                    assert lower.value <= K * (upper.value + logp)
+                    assert lower.value <= K * (upper.value + cm.log2_p(P))
 
 
 class TestLemma2:

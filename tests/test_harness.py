@@ -506,7 +506,8 @@ class TestCli:
             assert err.splitlines()[-1] == \
                 f"pemshuffle: error: --algorithms {algorithms!r} names no pipeline"
 
-    @pytest.mark.parametrize("line", ["H = []", "seeds = []"], ids=["no-H", "no-seed"])
+    @pytest.mark.parametrize("line", ["H = []", "seeds = []", "algorithms = []"],
+                             ids=["no-H", "no-seed", "no-algorithm"])
     def test_empty_grid_list_is_a_usage_error(self, tmp_path, capsys, line):
         path = tmp_path / "grid.cfg"
         path.write_text(SMALL_GRID + line + "\n")

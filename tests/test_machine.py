@@ -282,6 +282,18 @@ class TestDrivers:
             [False, False, True, False, True, False]
         assert [b[0].key for b in got[1]] == [0, 1, 2]
 
+    def test_scripts_return_their_results(self):
+        m = simple(P=3, M=12, B=4, blocks=[(a, [(a, "x")]) for a in range(3)])
+
+        def keys(addrs):
+            got = []
+            yield from reader(addrs, got)
+            return [e.key for b in got for e in b]
+
+        assert run_lockstep(m, [keys([2]), None, keys([])]) == [[2], None, []]
+        assert each_share(m, 2, lambda p, lo, hi: keys(range(lo, hi))) == [[0], [1]]
+        assert m.io_count == 2
+
     def test_all_idle_lockstep_raises_without_charge(self):
         def idle():
             yield None

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pemshuffle import cost_model as cm
 from pemshuffle.machine import (
     IOTrace,
     MachineConfig,
@@ -273,6 +274,6 @@ class TestContract:
         out = contract(m, region)
         expect = [v for cell in cells for v in cell]
         assert [e.payload for e in m.region_elements(out)] == expect
-        budget = 6 * len(cells) / P + 6 * math.ceil(math.log2(P) if P > 1 else 0) + 8
+        budget = 6 * len(cells) / P + 6 * math.ceil(cm.log2_p(P)) + 8
         assert m.io_count - len([c for c in cells]) <= budget
         m.assert_memories_empty()
