@@ -16,7 +16,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 from .machine import (
     Element,
@@ -92,12 +92,6 @@ def run_elements(machine: Machine, run: Run) -> list[Element]:
     return out
 
 
-def _require_block_parallelism(H: int, config: MachineConfig) -> None:
-    if H < config.P * config.B:
-        raise SimulationError(
-            f"H/P >= B required (H={H}, P={config.P}, B={config.B})")
-
-
 def _block_pieces(nbs: Sequence[int], lo: int, hi: int):
     """The flat block range [lo, hi) over groups of ``nbs`` blocks laid
     end to end, as (group, first block, end block) pieces."""
@@ -109,31 +103,29 @@ def _block_pieces(nbs: Sequence[int], lo: int, hi: int):
 
 
 def _read_window(machine: Machine, p: int, addr: int, base: int, lo: int,
-                 hi: int, held: set[Element]):
-    """Input the block at ``addr`` and keep its elements at positions [lo, hi).
+                 hi: int, held: Container[Element] = ()):
+    """Input the block at ``addr`` and return its elements at positions [lo, hi).
 
-    ``base`` is the position of the block's offset 0.  The kept elements
-    join ``held`` and are returned; the rest of the block is dropped
-    unless ``held`` already has it: pieces of one column share boundary
-    blocks, and the caller may still own elements of an earlier piece.
+    ``base`` is the position of the block's offset 0.  The rest of the
+    block is dropped, except what ``held`` has: pieces of one column
+    share boundary blocks, and the caller may still own elements of an
+    earlier piece.
     """
     block = yield Input(addr)
-    keep = block[max(0, lo - base):max(0, hi - base)]
-    held.update(keep)
-    if len(keep) < len(block):
-        drop = [e for e in block if e not in held]
+    a, b = max(0, lo - base), max(0, hi - base)
+    if a or b < len(block):
+        drop = [e for e in itertools.chain(block[:a], block[b:]) if e not in held]
         if drop:
             machine.discard(p, drop)
-    return keep
+    return block[a:b]
 
 
-def _read_span(machine: Machine, p: int, runs: Sequence[Run], lo: int,
-               hi: int, held: set[Element]):
+def _read_span(machine: Machine, p: int, runs: Sequence[Run], lo: int, hi: int):
     """``_read_window`` over every block holding positions [lo, hi) of
     the runs laid end to end; returns the kept elements in order."""
     kept: list[Element] = []
     for _, addr, base, win_lo, win_hi in _span_blocks(runs, lo, hi, machine.config.B):
-        kept.extend((yield from _read_window(machine, p, addr, base, win_lo, win_hi, held)))
+        kept.extend((yield from _read_window(machine, p, addr, base, win_lo, win_hi)))
     return kept
 
 
@@ -166,6 +158,7 @@ def _merge_task(machine: Machine, p: int, srcs: Sequence[tuple[Region, int, int]
         blk_idx = cursors[s] // B
         keep = yield from _read_window(machine, p, region.addr(blk_idx),
                                        blk_idx * B, cursors[s], hi, owned)
+        owned.update(keep)
         buffers[s] = keep
         heads[s] = 0
         cursors[s] += len(keep)
@@ -327,7 +320,7 @@ def _formation_and_local_merge(machine: Machine, region: Region, blk_lo: int,
     runs: list[Run] = []
     for bi in range(blk_lo, blk_hi, batch_cap):
         elems = yield from _read_span(machine, p, whole, bi * B,
-                                      min(blk_hi, bi + batch_cap) * B, set())
+                                      min(blk_hi, bi + batch_cap) * B)
         elems.sort(key=_key)
         out = machine.alloc_region(len(elems))
         for wi, ofs in enumerate(range(0, len(elems), B)):
@@ -340,7 +333,6 @@ def _sort_to_runs(machine: Machine, region: Region, H: int, R: int,
                   d: int | None) -> MetaRunSet:
     """Form presorted runs locally, then merge in parallel down to R."""
     cfg = machine.config
-    _require_block_parallelism(H, cfg)
     fanin = _effective_fanin(cfg, d)
     target_local = max(1, R // cfg.P)
     local = each_share(machine, region.blocks, lambda p, lo, hi: _formation_and_local_merge(
@@ -396,24 +388,23 @@ def prepare_map(machine: Machine, region: Region, instance: ShuffleInstance,
     sort.  In column major input (sorted map) the columns are presorted
     runs, which pass through when there are at most R of them and are
     otherwise load balanced and merged.  Thin rows (H/N_R < B) are
-    sorted instead, as are instances with more columns than pairs,
-    which load balancing cannot split, and instances where sorting each
-    processor's share from scratch is estimated cheaper than merging
-    its column pieces.
+    sorted instead, as are instances with more columns than pairs or
+    fewer pairs than P*B, which load balancing cannot split, and
+    instances where sorting each processor's share from scratch is
+    estimated cheaper than merging its column pieces.
     """
     cfg = machine.config
     H = instance.H
     d = merge_degree(H, cfg.P, cfg.B, cfg.M)
     if instance.layout != COLUMN_MAJOR:
         return _sort_to_runs(machine, region, H, R, d)
-    _require_block_parallelism(H, cfg)
     R = max(1, R)
     fanin = _effective_fanin(cfg, d)
 
     columns = _column_runs(machine, region)
     if len(columns) <= R:
         return MetaRunSet(tuple(columns))
-    if (H < instance.N_R * cfg.B or H < instance.N_M
+    if (H < instance.N_R * cfg.B or H < instance.N_M or H < cfg.P * cfg.B
             or not _columns_beat_sorting(cfg, H, len(columns), R, fanin)):
         return _sort_to_runs(machine, region, H, R, d)
 
@@ -443,17 +434,16 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
     """Run the map phase itself: emit meta-columns row-wise, then merge.
 
     Input vectors sit column-major in ``vec_region``; each processor
-    pins the input elements of a whole meta-column (m/v columns) while
-    emitting that meta-column's pairs in row order, m being
-    ``meta_column_capacity``.  Pairs outside a processor's assigned
-    slice are dropped without any I/O.
+    pins the input elements of a whole meta-column (m/v columns, at
+    least one) while emitting that meta-column's pairs in row order, m
+    being ``meta_column_capacity``.  Beyond v = M - B the pinned entries
+    leave no room for a full output block, and the machine refuses a
+    run that overflows its memory.  Pairs outside a processor's
+    assigned slice are dropped without any I/O.
     """
     cfg = machine.config
     B = cfg.B
-    _require_block_parallelism(task.H, cfg)
     m = meta_column_capacity(cfg, task.H)
-    if task.v > m:
-        raise SimulationError(f"v={task.v} input vectors exceed capacity m={m}")
     cols_per_mc = max(1, m // task.v)
     n_mc = ceil_div(task.N_M, cols_per_mc)
 
@@ -495,14 +485,13 @@ def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
             col_lo, col_hi = mc_cols[mc]
             ent_lo = (col_lo - 1) * task.v
             ent_hi = col_hi * task.v
-            held: set[Element] = set()
-            yield from _read_span(machine, p, vectors, ent_lo, ent_hi, held)
+            pinned = yield from _read_span(machine, p, vectors, ent_lo, ent_hi)
             pairs = mc_pairs[mc]
             for bi in range(blo, bhi):
                 chunk = pairs[bi * B: min((bi + 1) * B, len(pairs))]
                 created = [machine.create(p, (t.i, t.j), t) for t in chunk]
                 yield from write_out(machine, p, mc_regions[mc].addr(bi), created)
-            machine.discard(p, sorted(held, key=lambda e: e.uid))
+            machine.discard(p, sorted(pinned, key=lambda e: e.uid))
 
     each_share(machine, sum(nbs), emit_script)
 
@@ -647,7 +636,7 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
             start, size = extent[ti]
             g_lo = start + q * B
             g_hi = min(start + size, g_lo + B)
-            picked = yield from _read_span(machine, p, runs, g_lo, g_hi, set())
+            picked = yield from _read_span(machine, p, runs, g_lo, g_hi)
             yield from write_out(machine, p, staging.addr(dest[ti] + q), picked)
 
     each_share(machine, len(out_blocks), write_script)
@@ -695,7 +684,7 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet, N_R: int,
             blk, row = 0, None
             for _, addr, base, win_lo, win_hi in windows:
                 for e in (yield from _read_window(machine, p, addr, base,
-                                                  win_lo, win_hi, set())):
+                                                  win_lo, win_hi)):
                     if e.key[0] != row:
                         yield from emit_row()
                         row = e.key[0]
@@ -736,7 +725,7 @@ def _fill_grid(machine: Machine, grid: Region, final: Run | None,
             held: dict[int, Element] = {}
             if need and final is not None:
                 p_lo, p_hi = pos_of[need[0]], pos_of[need[-1]] + 1
-                for e in (yield from _read_span(machine, p, (final,), p_lo, p_hi, set())):
+                for e in (yield from _read_span(machine, p, (final,), p_lo, p_hi)):
                     i, l = e.key
                     held[(i - 1) * w + (l - 1)] = e
             cells: list[Element] = []
@@ -771,7 +760,6 @@ def direct_shuffle(machine: Machine, region: Region, instance: ShuffleInstance,
     """
     cfg = machine.config
     H = instance.H
-    _require_block_parallelism(H, cfg)
     order = make_direct_plan(instance) if plan is None else plan
     B = cfg.B
     out = machine.alloc_region(H)
@@ -807,7 +795,6 @@ def complete_sort(machine: Machine, region: Region,
     """
     cfg = machine.config
     H = instance.H
-    _require_block_parallelism(H, cfg)
     d = merge_degree(H, cfg.P, cfg.B, cfg.M)
     if instance.layout == COLUMN_MAJOR:
         # merging all columns at once against one formation pass plus

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import harness
@@ -43,10 +44,19 @@ def _spec_from_args(parser: argparse.ArgumentParser, args) -> harness.Experiment
     return spec
 
 
-def _write_output(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _writing_out(parser: argparse.ArgumentParser, path: str):
+    """An ``--out`` path that cannot be written is a usage error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        parser.error(f"--out {path}: {exc.strerror}")
+
+
+def _write_output(parser: argparse.ArgumentParser, path: str | None, text: str) -> None:
     """Write a command's CSV to ``path``, or to stdout without one."""
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _writing_out(parser, path), open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -64,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "sweep":
         report = harness.run_sweep(spec)
-        _write_output(args.out, report.to_csv())
+        _write_output(parser, args.out, report.to_csv())
         ok = report.all_pass()
         print(f"{len(report.rows)} rows, "
               f"{sum(1 for r in report.rows if r['status'] == 'skipped')} skipped, "
@@ -79,7 +89,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"calibration failed: {exc}", file=sys.stderr)
             return 1
         if args.out:
-            harness.write_constants(constants, args.out)
+            with _writing_out(parser, args.out):
+                harness.write_constants(constants, args.out)
         for algo in sorted(constants):
             c = constants[algo]
             print(f"{algo}: C1={c['C1']} C2={c['C2']}")
@@ -88,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         report, verdicts = harness.verify(spec)
         if args.out:
-            _write_output(args.out, report.to_csv())
+            _write_output(parser, args.out, report.to_csv())
         for name, ok in (("budget", verdicts.budget_ok),
                          ("correctness", verdicts.correctness_ok),
                          ("potential", verdicts.potential_ok),
@@ -99,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if verdicts.all_ok() else 1
 
     # bounds
-    _write_output(args.out, harness.bounds_catalog(spec))
+    _write_output(parser, args.out, harness.bounds_catalog(spec))
     return 0
 
 

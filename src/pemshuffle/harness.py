@@ -418,9 +418,6 @@ def calibrate(report: Report, min_rows: int = 10) -> dict[str, dict[str, float]]
             if lead:
                 rem = r["measured_io"] - c2 * _log_term(r["P"])
                 c1 = max(c1, rem / lead)
-            elif r["measured_io"] > c2 * _log_term(r["P"]) + 1e-9:
-                raise CalibrationError(
-                    f"{algo}: zero leading term but measured exceeds the log budget")
         # round the least constants upward so the frozen values still
         # cover the very rows they were fitted on
         up = lambda x: math.ceil(x * 10000) / 10000

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pemshuffle import algorithms as alg
+from pemshuffle import cost_model as cm
 from pemshuffle.algorithms import (
     MetaRunSet,
     Run,
@@ -25,15 +27,16 @@ from pemshuffle.algorithms import (
     run_elements,
     tile_table,
 )
-from pemshuffle.harness import load_pipeline, run_pipeline, run_point
+from pemshuffle.harness import PIPELINES, load_pipeline, run_pipeline, run_point
 from pemshuffle.machine import (
+    CapacityViolation,
     MachineConfig,
     Output,
-    SimulationError,
     create_machine,
 )
 from pemshuffle.workload import (
     COLUMN_MAJOR,
+    LAYOUTS,
     MIXED_COLUMN,
     ShuffleInstance,
     Triple,
@@ -257,12 +260,13 @@ class TestPrepareParallelMap:
         assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
 
     def test_vectors_above_capacity_rejected(self):
+        # a meta-column of one column pins v = 9 > M - B = 8 entries
         inst = generate(16, 16, 256, v=9, layout=COLUMN_MAJOR, seed=11)
         cfg = MachineConfig(P=2, M=12, B=4)
         assert meta_column_capacity(cfg, inst.H) == 8
         task = make_map_task(inst)
         m, vec = machine_with_vectors(cfg, task)
-        with pytest.raises(SimulationError, match="v=9 input vectors exceed capacity m=8"):
+        with pytest.raises(CapacityViolation):
             prepare_parallel_map(m, vec, task, R=4)
 
     def test_composition_equals_oracle(self):
@@ -403,12 +407,15 @@ class TestDirectShuffle:
         out = direct_shuffle(m, region, inst, plan=make_direct_plan(inst))
         assert region_payloads(m, out) == oracle_shuffle(inst)
 
-    def test_precondition(self):
+    def test_below_block_parallelism_equals_oracle(self):
+        # H/P = 2 < B: the requirement table skips such sweep rows, but a
+        # direct call still runs and answers right
         inst = generate(4, 4, 8, layout=MIXED_COLUMN, seed=19)
         cfg = MachineConfig(P=4, M=12, B=4)
         m, region = machine_with_instance(cfg, inst)
-        with pytest.raises(SimulationError):
-            direct_shuffle(m, region, inst)
+        out = direct_shuffle(m, region, inst)
+        assert region_payloads(m, out) == oracle_shuffle(inst)
+        m.assert_memories_empty()
 
 
 class TestCompleteSort:
@@ -465,3 +472,45 @@ def test_block_pieces_cover_each_block_once():
                 assert blo < bhi <= nbs[g]
                 covered.extend((g, b) for b in range(blo, bhi))
         assert covered == blocks, share
+
+
+SHUFFLE_PIPELINES = [name for name, pipe in PIPELINES.items() if pipe.cell[0] != "primitive"]
+
+
+@st.composite
+def small_crew_points(draw):
+    """A small CREW machine and instance, with no requirement of the
+    cost model's table imposed beyond M >= 3B."""
+    P, B = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    M = draw(st.integers(3 * B, 6 * B))
+    N_M, N_R = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    H = draw(st.integers(1, N_M * N_R))
+    v, w = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    inst = generate(N_M, N_R, H, v=v, w=w, layout=draw(st.sampled_from(LAYOUTS)),
+                    seed=draw(st.integers(0, 2 ** 16)))
+    return MachineConfig(P=P, M=M, B=B), inst
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_crew_points())
+def test_every_shuffle_pipeline_runs_whatever_the_machine_holds(point):
+    cfg, inst = point
+    vectors = [[(j * 7 + k) % 9 + 1 for j in range(inst.N_M)] for k in range(inst.v)]
+    expected = oracle_combined_mxv(inst, vectors)
+    grid = sorted(((i + 1, l + 1), expected[l][i])
+                  for l in range(inst.w) for i in range(inst.N_R))
+    for name in SHUFFLE_PIPELINES:
+        pipe = PIPELINES[name]
+        m, region, run_input = load_pipeline(name, inst, vectors, cfg)
+        tracker = None
+        if pipe.transposition:
+            blocks = cm.output_blocks(m.region_elements(region), cfg.B)
+            tracker = cm.track_potential(m, blocks.get)
+        out, _ = run_pipeline(name, inst, m, region, run_input)
+        if pipe.parallel_reduce:
+            assert sorted((e.key, e.payload) for e in m.region_elements(out)) == grid, name
+        else:
+            assert region_payloads(m, out) == oracle_shuffle(inst), name
+        m.assert_memories_empty()
+        if tracker is not None:
+            assert tracker.report().ok(), name

@@ -98,8 +98,10 @@ class TestThm1:
         assert est.valid and est.value > 0
 
     def test_lower_within_constant_of_upper(self):
-        # sweep-style consistency: lower <= K (upper + log P), single K
+        # sweep-style consistency: lower <= K (upper + log P), single K,
+        # for every lower bound paired with a complexity-table cell
         K = 8
+        pairs = 0
         for N in (2 ** 8, 2 ** 10, 2 ** 12):
             for h_exp in (1.1, 1.3, 1.5):
                 for P in (1, 4, 16):
@@ -108,11 +110,14 @@ class TestThm1:
                                   M=64 * 8, B=8)
                     if p.failed_preconditions():
                         continue
-                    lower = cm.thm1_lower(p, cm.MIXED)
-                    if not lower.valid:
-                        continue
-                    upper = cm.table1_upper(p, cm.UNORDERED, cm.PARALLEL)
-                    assert lower.value <= K * (upper.value + cm.log2_p(P))
+                    for bound, _, cell in cm.LOWER_BOUNDS:
+                        lower = bound(p)
+                        if cell is None or not lower.valid:
+                            continue
+                        upper = cm.table1_upper(p, *cell)
+                        assert lower.value <= K * (upper.value + cm.log2_p(P)), cell
+                        pairs += 1
+        assert pairs == 126
 
 
 class TestLemma2:

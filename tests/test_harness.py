@@ -1,7 +1,9 @@
 import csv
+import errno
 import gc
 import io
 import json
+import os
 
 import pytest
 
@@ -484,6 +486,23 @@ class TestCli:
             assert err.splitlines()[-1].startswith(f"pemshuffle: error: {path}: ")
             if text is not None:
                 assert f"{path}: line 1: " in err
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, target):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text(SMALL_GRID.replace("seeds = [0]", "seeds = [0, 1, 2, 3, 4]"))
+        if target == "directory":
+            out, reason = tmp_path, os.strerror(errno.EISDIR)
+        else:
+            out, reason = tmp_path / "missing" / "x.csv", os.strerror(errno.ENOENT)
+        for command in ("sweep", "calibrate", "verify", "bounds"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([command, "--grid", str(grid), "--out", str(out),
+                          "--algorithms", "prim_prefix_sum"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.splitlines()[-1] == f"pemshuffle: error: --out {out}: {reason}"
 
     def test_unknown_algorithm_is_a_usage_error(self, tmp_path, capsys):
         grid = self.write_grid(tmp_path)
