@@ -28,10 +28,9 @@ from .machine import (
     ceil_div,
     create_machine,
     each_share,
-    run_lockstep,
     write_out,
 )
-from .primitives import contract, prefix_sum, range_bounded_load_balance
+from .primitives import contract, prefix_sum
 from .workload import COLUMN_MAJOR, MapTask, ShuffleInstance, instance_blocks
 
 
@@ -357,27 +356,18 @@ def _column_runs(machine: Machine, region: Region) -> list[Run]:
     return [Run(region, lo, hi) for lo, hi in _key_stretches(elems, 1)]
 
 
-def _merge_passes(n: int, target: int, fanin: int) -> tuple[int, int]:
-    """Whole merge passes that take n runs to at most ``target``, and the
-    runs they leave."""
+def _merge_passes(n: int, fanin: int) -> int:
+    """Whole merge passes that take n runs to one."""
     passes = 0
-    while n > target:
+    while n > 1:
         n = ceil_div(n, fanin)
         passes += 1
-    return passes, n
+    return passes
 
 
-def _columns_beat_sorting(cfg: MachineConfig, H: int, n_columns: int,
-                          R: int, fanin: int) -> bool:
-    """Whether a processor's column pieces merge cheaper than its share
-    sorted from scratch.  Load balancing costs the column path about the
-    pass that run formation costs the sorting path, so columns win only
-    with strictly fewer local merge passes that leave no more runs."""
-    target = max(1, R // cfg.P)
-    col_passes, col_runs = _merge_passes(ceil_div(n_columns, cfg.P) + 1, target, fanin)
-    sort_passes, sort_runs = _merge_passes(
-        ceil_div(ceil_div(H, cfg.P), cfg.M), target, fanin)
-    return col_passes < sort_passes and col_runs <= sort_runs
+def _formed_runs(cfg: MachineConfig, H: int) -> int:
+    """Runs that run formation leaves: P*ceil(ceil(H/P)/M)."""
+    return cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M)
 
 
 def prepare_map(machine: Machine, region: Region, instance: ShuffleInstance,
@@ -386,42 +376,19 @@ def prepare_map(machine: Machine, region: Region, instance: ShuffleInstance,
 
     Mixed column input (unordered map) goes through the parallel merge
     sort.  In column major input (sorted map) the columns are presorted
-    runs, which pass through when there are at most R of them and are
-    otherwise load balanced and merged.  Thin rows (H/N_R < B) are
-    sorted instead, as are instances with more columns than pairs or
-    fewer pairs than P*B, which load balancing cannot split, and
-    instances where sorting each processor's share from scratch is
-    estimated cheaper than merging its column pieces.
+    runs, merged straight down to R by the parallel merge, as
+    ``complete_sort`` does, when there are no more of them than R or
+    than the runs run formation would leave; with more columns than
+    that the input is sorted instead.
     """
     cfg = machine.config
     H = instance.H
     d = merge_degree(H, cfg.P, cfg.B, cfg.M)
-    if instance.layout != COLUMN_MAJOR:
-        return _sort_to_runs(machine, region, H, R, d)
-    R = max(1, R)
-    fanin = _effective_fanin(cfg, d)
-
-    columns = _column_runs(machine, region)
-    if len(columns) <= R:
-        return MetaRunSet(tuple(columns))
-    if (H < instance.N_R * cfg.B or H < instance.N_M or H < cfg.P * cfg.B
-            or not _columns_beat_sorting(cfg, H, len(columns), R, fanin)):
-        return _sort_to_runs(machine, region, H, R, d)
-
-    spans = range_bounded_load_balance(
-        machine, region, H, instance.N_M, lambda e: e.key[1])
-    target_local = max(1, R // cfg.P)
-    scripts = []
-    for p, span in enumerate(spans):
-        pieces = []
-        for col in columns:
-            lo = max(col.lo, span.start)
-            hi = min(col.hi, span.end)
-            if lo < hi:
-                pieces.append(Run(region, lo, hi))
-        scripts.append(_local_merge_runs(machine, p, pieces, target_local, fanin))
-    local = run_lockstep(machine, scripts)
-    return parallel_merge_to_R(machine, [r for runs in local for r in runs], R, d)
+    if instance.layout == COLUMN_MAJOR:
+        columns = _column_runs(machine, region)
+        if len(columns) <= max(R, _formed_runs(cfg, H)):
+            return parallel_merge_to_R(machine, columns, R, d)
+    return _sort_to_runs(machine, region, H, R, d)
 
 
 def meta_column_capacity(config: MachineConfig, H: int) -> int:
@@ -790,19 +757,19 @@ def complete_sort(machine: Machine, region: Region,
                   instance: ShuffleInstance) -> Region:
     """Sort the whole instance row-wise, whatever its layout.
 
-    Column major merges the presorted columns when profitable;
-    everything else goes through the full parallel merge sort.
+    Column major input merges its presorted columns straight to one run
+    when that takes no more merge passes than run formation plus the
+    merge passes of the formed runs; everything else goes through the
+    full parallel merge sort.  Both paths end in one run, which the
+    tile reduce passes through, so merge passes alone decide the cost.
     """
     cfg = machine.config
     H = instance.H
     d = merge_degree(H, cfg.P, cfg.B, cfg.M)
     if instance.layout == COLUMN_MAJOR:
-        # merging all columns at once against one formation pass plus
-        # the merge passes of the formed runs
         columns = _column_runs(machine, region)
         fanin = _effective_fanin(cfg, d)
-        formed = cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M)
-        if _merge_passes(len(columns), 1, fanin)[0] <= 1 + _merge_passes(formed, 1, fanin)[0]:
+        if _merge_passes(len(columns), fanin) <= 1 + _merge_passes(_formed_runs(cfg, H), fanin):
             meta = parallel_merge_to_R(machine, columns, 1, d)
             return finalize_nonparallel_reduce(machine, meta)
     meta = _sort_to_runs(machine, region, H, 1, d)

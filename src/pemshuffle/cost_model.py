@@ -294,11 +294,6 @@ class PotentialReport:
         return self.applicable and not self.violations
 
 
-def _xlog2x(n: int) -> list[float]:
-    """f(x) = x log2 x tabulated for x = 0 .. n-1."""
-    return [0.0] + [x * math.log2(x) for x in range(1, n)]
-
-
 class PotentialTracker:
     """Machine observer that bounds every parallel step's potential increase.
 
@@ -319,9 +314,12 @@ class PotentialTracker:
     ``home``, indexed by ``Element.uid``, names the block that last
     received an element while that block still holds it, or None; the
     element counts there while no memory holds it.  The table grows when
-    a produced element is first read.  Counts change where their events
-    happen, and ``change`` sums the resulting change of phi up to the
-    boundary, which takes it as the step's phi increase.
+    a produced element is first read, and ``f``, which tabulates x log2 x
+    up to the largest count possible so far, grows with it: no container
+    holds more than max(M, B) elements, nor more than ``home`` covers.
+    Counts change where their events happen, and ``change`` sums the
+    resulting change of phi up to the boundary, which takes it as the
+    step's phi increase.
 
     Phi depends only on the state at a boundary, so reads wait for it:
     a step parks each reader's elements it did not hold in ``parked[p]``
@@ -346,7 +344,9 @@ class PotentialTracker:
         self.home: list[int | None] = [None] * (1 + max(
             (e.uid for elems in initial_image.values() for e in elems), default=-1))
         self.counts: dict[int, dict[int, int]] = {}
-        self.f = _xlog2x(max(M, B) + 1)   # no container holds more
+        self.cap = max(M, B)
+        self.f = [0.0]
+        self._grow_f()
         self.change = 0.0
         H = 0
         for addr, elems in initial_image.items():
@@ -423,6 +423,11 @@ class PotentialTracker:
             if not cnt:
                 del counts[container]
 
+    def _grow_f(self) -> None:
+        """Extend ``f`` to x = min(cap, len(home))."""
+        f = self.f
+        f.extend(x * math.log2(x) for x in range(len(f), min(self.cap, len(self.home)) + 1))
+
     def _read(self, p: int, elems: Iterable[Element]) -> None:
         """p takes ``elems``, none of which it holds, into memory."""
         out_of, home, holders, held = self.out_of, self.home, self.holders, self.held[p]
@@ -442,6 +447,7 @@ class PotentialTracker:
                 u = e.uid
                 if u >= len(home):   # first read of a produced element
                     home.extend([None] * (u + 1 - len(home)))
+                    self._grow_f()
                 a = home[u]
                 if a is not None:
                     # the first holder takes the rating off its home block

@@ -2,14 +2,13 @@
 
 Gather, scatter and prefix sums communicate through per-processor inbox
 blocks in a binary tree pattern, so they stay within a logarithmic
-parallel I/O budget and remain exclusive-write safe.  Load balancing
-and contraction are the scan-based helpers the shuffle algorithms lean
-on for assigning work and compacting sparse regions.
+parallel I/O budget and remain exclusive-write safe.  Contraction is
+the scan-based helper the shuffle algorithms lean on for compacting
+sparse regions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .machine import (
@@ -130,111 +129,6 @@ def prefix_sum(machine: Machine, values: Sequence) -> list:
     for p in range(P):
         machine.discard(p, (acc[p],))
     return out
-
-
-# -- range-bounded load balancing -------------------------------------------
-
-
-@dataclass(frozen=True)
-class Span:
-    """One processor's contiguous piece of a region, in element terms."""
-
-    start: int
-    count: int
-    key_lo: int
-    key_hi: int
-
-    @property
-    def end(self) -> int:
-        return self.start + self.count
-
-
-def range_bounded_load_balance(machine: Machine, region: Region, n: int, m: int,
-                               key_of: Callable[[Element], int]) -> tuple[Span, ...]:
-    """Split a key-sorted region into one span per processor.
-
-    ``key_of`` must map elements to integers in 1..m, non-decreasing
-    over the region.  Half the processors scan volume pieces of
-    ceil(2n/P) tuples recording where key ranges of width ceil(2m/P)
-    begin; the recorded start positions are distributed to the range
-    processors through their inboxes.  Cutting at both kinds of
-    boundary yields at most P non-empty spans, each holding at most
-    ceil(2n/P) tuples and covering at most ceil(2m/P) consecutive keys;
-    the rest of the P spans are empty.
-    """
-    P = machine.config.P
-    B = machine.config.B
-    if m > n:
-        raise SimulationError(f"more keys ({m}) than tuples ({n})")
-    if n < P * B:
-        raise SimulationError(f"load balancing needs n/P >= B (n={n}, P={P}, B={B})")
-    elems = machine.region_elements(region)
-    if len(elems) != n:
-        raise SimulationError(f"region holds {len(elems)} elements, expected {n}")
-    keys = [key_of(e) for e in elems]
-    for a, b in zip(keys, keys[1:]):
-        if a > b:
-            raise SimulationError("load balancing requires key-sorted input")
-    if P == 1:
-        return (Span(0, n, keys[0], keys[-1]),)
-
-    volume_procs = ceil_div(P, 2)
-    piece = ceil_div(n, volume_procs)
-    width = ceil_div(2 * m, P)
-
-    scratch = [machine.alloc(ceil_div(ceil_div(m, width) + 1, B))
-               for _ in range(volume_procs)]
-    boundary_lists: list[list[tuple[int, int]]] = [[] for _ in range(volume_procs)]
-
-    def scan_script(vp: int, lo: int, hi: int):
-        first_blk = lo // B
-        last_blk = (hi - 1) // B
-        pos = first_blk * B
-        prev_range = (keys[lo - 1] - 1) // width if lo > 0 else -1
-        buffer: list[Element] = []
-        out_blk = 0
-        for bi in range(first_blk, last_blk + 1):
-            block = yield Input(region.addr(bi))
-            for e in block:
-                if lo <= pos < hi:
-                    r = (key_of(e) - 1) // width
-                    if r != prev_range:
-                        boundary_lists[vp].append((r, pos))
-                        buffer.append(machine.create(vp, ("range-start", r), (r, pos)))
-                        prev_range = r
-                        if len(buffer) == B:
-                            yield from write_out(machine, vp, scratch[vp] + out_blk, buffer)
-                            out_blk += 1
-                            buffer = []
-                pos += 1
-            machine.discard(vp, block)
-        if buffer:
-            yield from write_out(machine, vp, scratch[vp] + out_blk, buffer)
-
-    run_lockstep(machine, [scan_script(vp, lo, min(n, lo + piece))
-                           for vp, lo in enumerate(range(0, n, piece))])
-
-    # Distribution: each range processor fetches the scratch block that
-    # carries its key-range start; under CREW this is one parallel read.
-    range_starts: dict[int, int] = {}
-    entry_home: dict[int, int] = {}
-    for vp in range(volume_procs):
-        for idx, (r, pos) in enumerate(boundary_lists[vp]):
-            range_starts.setdefault(r, pos)
-            entry_home.setdefault(r, scratch[vp] + idx // B)
-    fetch = {rp: Input(entry_home[r]) for r, rp in enumerate(range(volume_procs, P), 1)
-             if r in entry_home}
-    if fetch:
-        results = act(machine, fetch)
-        for rp in fetch:
-            machine.discard(rp, results[rp])
-
-    cuts = sorted({*range(0, n, piece), *range_starts.values()})
-    if len(cuts) > P:
-        raise SimulationError(f"load balancing produced {len(cuts)} > P spans")
-    spans = [Span(s, e - s, keys[s], keys[e - 1])
-             for s, e in zip(cuts, cuts[1:] + [n])]
-    return tuple(spans) + tuple(Span(n, 0, 0, -1) for _ in range(len(cuts), P))
 
 
 # -- contraction ------------------------------------------------------------

@@ -12,9 +12,10 @@ failed rows and their reasons included, in tests/data/golden_erew.csv,
 and the full-trace digest of every pipeline at the TRACE_POINTS under
 CREW and EREW in tests/data/golden_traces.json.  A pure speed-up or
 refactor must leave all of them untouched; ``--check`` recomputes them
-in memory, writes nothing, names every row whose I/O count or trace
-moved and every bound catalog line that changed, and exits 1 if any
-file differs.
+in memory, writes nothing, names every row of the three sweep files
+whose I/O count or status moved, with its file, every trace that moved
+and every bound catalog line that changed, and exits 1 if any file
+differs.
 """
 
 import contextlib
@@ -119,8 +120,9 @@ def row_id(row: dict) -> str:
 
 
 def golden_io(sweep_csv: str) -> dict[str, str]:
-    """The ``measured_io`` column of a sweep CSV's text, by row name."""
-    return {row_id(r): r["measured_io"]
+    """The ``measured_io`` column of a sweep CSV's text, by row name; a
+    row without a count (skipped or failed) gives its status instead."""
+    return {row_id(r): r["measured_io"] or r["status"]
             for r in csv.DictReader(io.StringIO(sweep_csv))}
 
 
@@ -237,19 +239,27 @@ def io_change(old: str | None, new: str | None) -> int | None:
     return None
 
 
+def moved_rows(frozen_csv: str, new_csv: str) -> list[tuple]:
+    """(row name, frozen value, new value, ``io_change``) of every row
+    whose ``golden_io`` value differs between two sweep CSV texts; a row
+    missing from one side has the value None there."""
+    frozen, new = golden_io(frozen_csv), golden_io(new_csv)
+    return [(k, frozen.get(k), new.get(k), io_change(frozen.get(k), new.get(k)))
+            for k in sorted(frozen.keys() | new.keys()) if frozen.get(k) != new.get(k)]
+
+
 def check_golden() -> int:
     """Compare the recomputed golden files with the frozen ones; 1 if any
-    differ.  The last line tallies the moved rows by direction."""
+    differ.  The last line tallies the moved rows of the three sweep
+    files by direction; a status change has no direction."""
     texts = golden_texts()
-    golden = golden_io(texts[GOLDEN_SWEEP_PATH])
-    frozen = golden_io(frozen_text(GOLDEN_SWEEP_PATH))
     changes = []
-    for k in sorted(frozen.keys() | golden.keys()):
-        if frozen.get(k) != golden.get(k):
-            change = io_change(frozen.get(k), golden.get(k))
+    for path in (GOLDEN_SWEEP_PATH, GOLDEN_SKIPS_PATH, GOLDEN_EREW_PATH):
+        frozen = frozen_text(path) if os.path.exists(path) else ""
+        for k, old, new, change in moved_rows(frozen, texts[path]):
             changes.append(change)
             signed = "?" if change is None else f"{change:+d}"
-            print(f"moved: {k}: {frozen.get(k)} -> {golden.get(k)} ({signed})")
+            print(f"moved: {os.path.basename(path)}: {k}: {old} -> {new} ({signed})")
     traces = json.loads(texts[GOLDEN_TRACES_PATH])
     frozen_traces = (json.loads(frozen_text(GOLDEN_TRACES_PATH))
                      if os.path.exists(GOLDEN_TRACES_PATH) else {})

@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, one pass/fail line each."""
 
+import csv
+import io
 import json
 import math
 import random
@@ -11,6 +13,7 @@ import acceptance_specs as specs
 from pemshuffle import cost_model as cm
 from pemshuffle.algorithms import complete_sort, machine_with_instance, meta_column_capacity
 from pemshuffle.harness import (
+    GRID_KEYS,
     PIPELINES,
     Report,
     _log_term,
@@ -278,6 +281,30 @@ def test_golden_io_counts(combined_rows):
     got = specs.golden_io(Report(combined_rows).to_csv())
     moved = sorted(k for k in golden.keys() | got.keys() if golden.get(k) != got.get(k))
     assert not moved, f"{len(moved)} rows changed measured_io, e.g. {moved[:3]}"
+
+
+def test_moved_rows_name_count_and_status_changes():
+    """``--check`` names a moved count with its sign, a status change and
+    a row on one side only, and passes an unmoved row."""
+    def sweep_csv(*rows):
+        out = io.StringIO()
+        writer = csv.DictWriter(out, ["algorithm", "seed", *GRID_KEYS,
+                                      "status", "measured_io"])
+        writer.writeheader()
+        for algorithm, status, count in rows:
+            writer.writerow(dict(algorithm=algorithm, seed=0, status=status,
+                                 measured_io=count, **dict.fromkeys(GRID_KEYS, 1)))
+        return out.getvalue()
+
+    frozen = sweep_csv(("a", "ok", 10), ("b", "failed", ""), ("c", "ok", 7), ("d", "ok", 5))
+    new = sweep_csv(("a", "ok", 8), ("b", "ok", 12), ("c", "ok", 7), ("e", "skipped", ""))
+    point = " ".join(f"{k}=1" for k in GRID_KEYS)
+    assert specs.moved_rows(frozen, new) == [
+        (f"a seed=0 {point}", "10", "8", -2),
+        (f"b seed=0 {point}", "failed", "12", None),
+        (f"d seed=0 {point}", "5", None, None),
+        (f"e seed=0 {point}", None, "skipped", None),
+    ]
 
 
 def test_golden_report(combined_rows):

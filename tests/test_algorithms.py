@@ -209,12 +209,15 @@ class TestPrepareSorted:
         meta = prepare_map(m, region, inst, nonparallel_run_target(128, 8, 4))
         assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
 
-    # (point, forced-column counts, forced-sorting counts) of the
-    # (sorted_nonparallel, sorted_parallel) rows at seed 0: at TIGHT
-    # H=4096 sorting is cheaper, at the second point the columns are
+    # (point, forced column-merge counts, forced sorting counts) of the
+    # (sorted_nonparallel, sorted_parallel) rows at seed 0: merging the
+    # columns straight is cheaper at the first three points, sorting at
+    # BAND H=1024
     @pytest.mark.parametrize("point, columns, sorting", [
-        (dict(N_M=128, N_R=32, H=4096, v=1, w=1, P=8, M=24, B=4), (2357, 1440), (1676, 919)),
-        (dict(N_M=8, N_R=256, H=2048, v=1, w=1, P=4, M=24, B=4), (2058, 1010), (2312, 1264)),
+        (dict(N_M=128, N_R=32, H=4096, v=1, w=1, P=8, M=24, B=4), (1548, 473), (1676, 919)),
+        (dict(N_M=8, N_R=256, H=2048, v=1, w=1, P=4, M=24, B=4), (1544, 496), (2312, 1264)),
+        (dict(N_M=16, N_R=256, H=4096, v=1, w=1, P=4, M=64, B=8), (2164, 635), (2312, 1208)),
+        (dict(N_M=256, N_R=64, H=1024, v=2, w=2, P=4, M=64, B=8), (693, 341), (607, 257)),
     ])
     def test_picks_the_cheaper_path(self, monkeypatch, point, columns, sorting):
         def counts():
@@ -222,12 +225,13 @@ class TestPrepareSorted:
                          for a in ("sorted_nonparallel", "sorted_parallel"))
 
         chosen = counts()
-        forced = {}
-        for use_columns in (True, False):
-            monkeypatch.setattr(alg, "_columns_beat_sorting",
-                                lambda *args, use=use_columns: use)
-            forced[use_columns] = counts()
-        assert (forced[True], forced[False]) == (columns, sorting)
+        forced = []
+        # a huge formed-run count forces the column merge, and 0 sorting,
+        # since every point has more columns than R
+        for formed in (10 ** 9, 0):
+            monkeypatch.setattr(alg, "_formed_runs", lambda cfg, H, n=formed: n)
+            forced.append(counts())
+        assert tuple(forced) == (columns, sorting)
         assert chosen == tuple(map(min, columns, sorting))
 
 

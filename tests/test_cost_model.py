@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +304,21 @@ class TestPotential:
         assert phi() == pytest.approx(f(2))
         m.discard(0, b)
         assert phi() == pytest.approx(f(2))
+
+
+    def test_tracker_memory_follows_the_elements_not_m(self):
+        # counts never exceed the elements, so x log2 x is tabulated up
+        # to 4 here, not up to M
+        m = create_machine(MachineConfig(P=1, M=1 << 20, B=4),
+                           [(0, [(i, i) for i in range(4)])])
+        mapping = {e: 0 for e in m.peek(0)}
+        tracemalloc.start()
+        try:
+            cm.track_potential(m, mapping.get)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPotentialNeedsItsEvents:

@@ -165,8 +165,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("algorithm", ["sorted_nonparallel", "sorted_parallel"])
     def test_more_columns_than_pairs(self, algorithm):
-        # N_M > H: load balancing cannot split the columns, so the rows
-        # sort from scratch instead of failing
+        # N_M > H: more columns than the runs run formation leaves, so
+        # the rows sort from scratch
         point = {"N_M": 512, "N_R": 4, "H": 64, "v": 1, "w": 1, "P": 1, "M": 12, "B": 1}
         row = harness.run_point(algorithm, point, 0)
         assert (row["status"], row["correct"]) == ("ok", "pass")

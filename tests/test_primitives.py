@@ -17,7 +17,6 @@ from pemshuffle.primitives import (
     contract,
     gather,
     prefix_sum,
-    range_bounded_load_balance,
     scatter,
 )
 
@@ -152,61 +151,6 @@ class TestPrefixSum:
             prefix_sum(m, [1] * P)
             assert m.io_count <= log_budget(P)
             m.assert_memories_empty()
-
-
-def region_of(values, B, key=lambda i, v: (v, 0)):
-    blocks = []
-    for bi in range(0, len(values), B):
-        chunk = values[bi:bi + B]
-        blocks.append((bi // B, [(key(bi + o, v), v) for o, v in enumerate(chunk)]))
-    return blocks, Region(0, len(blocks), len(values))
-
-
-class TestLoadBalance:
-    def test_spec_example_bounds(self):
-        keys = sorted([1 + i % 8 for i in range(16)])
-        blocks, region = region_of(keys, 2, key=lambda i, v: (v,))
-        m = fresh(4, 8, 2, blocks=blocks)
-        spans = range_bounded_load_balance(m, region, 16, 8, lambda e: e.key[0])
-        for span in spans:
-            assert span.count <= math.ceil(2 * 16 / 4)
-            if span.count:
-                assert span.key_hi - span.key_lo + 1 <= math.ceil(2 * 8 / 4)
-        covered = sorted((s.start, s.end) for s in spans if s.count)
-        assert covered[0][0] == 0 and covered[-1][1] == 16
-        for (a, b), (c, d) in zip(covered, covered[1:]):
-            assert b == c
-
-    def test_single_processor(self):
-        keys = [1, 1, 2, 3]
-        blocks, region = region_of(keys, 2, key=lambda i, v: (v,))
-        m = fresh(1, 6, 2, blocks=blocks)
-        spans = range_bounded_load_balance(m, region, 4, 3, lambda e: e.key[0])
-        assert spans[0].count == 4
-        assert m.io_count == 0
-
-    def test_skewed_multiplicities(self):
-        rng = random.Random(11)
-        keys = sorted(rng.choice([1, 1, 1, 2, 15, 16]) for _ in range(64))
-        blocks, region = region_of(keys, 4, key=lambda i, v: (v,))
-        m = fresh(4, 12, 4, blocks=blocks)
-        spans = range_bounded_load_balance(m, region, 64, 16, lambda e: e.key[0])
-        seen = 0
-        for span in spans:
-            assert span.count <= math.ceil(2 * 64 / 4)
-            if span.count:
-                assert span.key_hi - span.key_lo + 1 <= math.ceil(2 * 16 / 4)
-            seen += span.count
-        assert seen == 64
-        budget = 8 * 64 / (4 * 4) + 4 * math.ceil(math.log2(min(4, 4))) + 4
-        assert m.io_count <= budget
-
-    def test_unsorted_rejected(self):
-        blocks, region = region_of([2, 1, 3, 4, 5, 6, 7, 8], 2,
-                                   key=lambda i, v: (v,))
-        m = fresh(2, 6, 2, blocks=blocks)
-        with pytest.raises(SimulationError):
-            range_bounded_load_balance(m, region, 8, 8, lambda e: e.key[0])
 
 
 def make_sparse_region(machine, cells, B):

@@ -3,11 +3,15 @@
 Usage: python3 tests/traffic_coverage.py
 
 The traffic is what the CLI, the benchmark and the acceptance grids
-drive, run in this process under a line tracer (``sys.settrace``):
+drive, run in this process under a line tracer (``sys.settrace``), with
+every command entering through ``cli.main``:
 
-- ``run_sweep`` and ``bounds_catalog`` on ``perfbench/grids/band.cfg``,
-  ``perfbench/grids/tight.cfg`` and ``grids/small.cfg``, under CREW and
-  EREW, then ``calibrate`` and the checks of ``verify`` on each report;
+- the benchmark's sweeps, ``sweep --grid <grid> --seed <s> --out <csv>``
+  on ``perfbench/grids/band.cfg`` at seed 0 and on
+  ``perfbench/grids/tight.cfg`` at seeds 0 and 1, then the same with
+  ``--policy erew``;
+- ``verify`` on ``grids/small.cfg`` with and without ``--policy erew``,
+  then ``bounds`` and ``calibrate`` on it;
 - the eight pipelines of the benchmark's point workloads, one
   ``run_point`` each, at N_M=256, N_R=64, H=4096, P=8, M=128, B=16 with
   v=w=1 for the transpositions and v=w=2 for the map/reduce pipelines.
@@ -21,15 +25,19 @@ only, offline; pytest does not collect it.
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import os
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "pemshuffle")
-GRIDS = [os.path.join(ROOT, "perfbench", "grids", "band.cfg"),
-         os.path.join(ROOT, "perfbench", "grids", "tight.cfg"),
-         os.path.join(ROOT, "grids", "small.cfg")]
+SWEEPS = [(os.path.join(ROOT, "perfbench", "grids", "band.cfg"), 0),
+          (os.path.join(ROOT, "perfbench", "grids", "tight.cfg"), 0),
+          (os.path.join(ROOT, "perfbench", "grids", "tight.cfg"), 1)]
+SMALL_GRID = os.path.join(ROOT, "grids", "small.cfg")
 POINT = {"N_M": 256, "N_R": 64, "H": 4096, "P": 8, "M": 128, "B": 16}
 POINT_PIPELINES = {1: ["direct_shuffle", "complete_sort", "unordered_nonparallel",
                        "sorted_nonparallel"],
@@ -103,24 +111,22 @@ def unexecuted(ran: dict[str, set[int]]) -> dict[str, list[tuple[int, str]]]:
 
 
 def drive() -> None:
-    """The traffic: every grid under both policies, then the point pipelines."""
-    from pemshuffle import harness
-    from pemshuffle.machine import CREW, EREW
+    """The traffic: the CLI commands, then the point pipelines.  The
+    commands write their output to a temporary directory, and what they
+    print is dropped."""
+    from pemshuffle import cli, harness
 
-    for grid in GRIDS:
-        for policy in (CREW, EREW):
-            spec = harness.load_spec(grid)
-            spec.policy = policy
-            report = harness.run_sweep(spec)
-            report.to_csv()
-            report.all_pass()
-            harness.bounds_catalog(spec)
-            try:
-                constants = harness.calibrate(report, min_rows=1)
-            except harness.CalibrationError:
-                continue
-            harness.check_budgets(report, constants)
-            harness.check_bounds_consistency(report)
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        out = os.path.join(tmp, "out")
+        for policy in ([], ["--policy", "erew"]):
+            for grid, seed in SWEEPS:
+                cli.main(["sweep", "--grid", grid, "--seed", str(seed),
+                          "--out", out, *policy])
+            cli.main(["verify", "--grid", SMALL_GRID, "--out", out, *policy])
+        for command in ("bounds", "calibrate"):
+            cli.main([command, "--grid", SMALL_GRID, "--out", out])
     for vw, algorithms in POINT_PIPELINES.items():
         for algorithm in algorithms:
             harness.run_point(algorithm, dict(POINT, v=vw, w=vw), 0)
