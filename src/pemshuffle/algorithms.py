@@ -54,14 +54,6 @@ class Run:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class MetaRunSet:
-    """R-or-fewer sorted runs jointly holding the instance's triples."""
-
-    runs: tuple[Run, ...]
-    rounds: int = 0
-
-
 def merge_degree(H: int, P: int, B: int, M: int) -> int:
     """Merge fan-in: ceil(max(2, min(H/(PB), sqrt(H/P), M/B)))."""
     return math.ceil(max(2.0, min(H / (P * B), math.sqrt(H / P), M / B)))
@@ -255,7 +247,7 @@ def _merge_groups_parallel(machine: Machine, groups: Sequence[Sequence[Run]],
 
 def parallel_merge_to_R(machine: Machine, runs: Sequence[Run], R: int,
                         d: int | None = None,
-                        combine: Callable | None = None) -> MetaRunSet:
+                        combine: Callable | None = None) -> list[Run]:
     """Merge sorted runs until at most max(R, 1) remain.
 
     Rounds merge groups of up to d adjacent runs; with runs_in <= R the
@@ -264,7 +256,6 @@ def parallel_merge_to_R(machine: Machine, runs: Sequence[Run], R: int,
     R = max(1, R)
     runs = [r for r in runs if r.count > 0]
     fanin = _effective_fanin(machine.config, d)
-    rounds = 0
     while len(runs) > R:
         n_groups = max(R, ceil_div(len(runs), fanin))
         bounds = [(i * len(runs)) // n_groups for i in range(n_groups + 1)]
@@ -281,8 +272,7 @@ def parallel_merge_to_R(machine: Machine, runs: Sequence[Run], R: int,
                 nxt.append(merged[mi])
                 mi += 1
         runs = nxt
-        rounds += 1
-    return MetaRunSet(tuple(runs), rounds)
+    return runs
 
 
 # -- local (single-processor) sorting ----------------------------------------
@@ -328,10 +318,11 @@ def _formation_and_local_merge(machine: Machine, region: Region, blk_lo: int,
     return (yield from _local_merge_runs(machine, p, runs, target, fanin))
 
 
-def _sort_to_runs(machine: Machine, region: Region, H: int, R: int,
-                  d: int | None) -> MetaRunSet:
-    """Form presorted runs locally, then merge in parallel down to R."""
+def _sort_to_runs(machine: Machine, region: Region, H: int, R: int) -> list[Run]:
+    """The layout-blind PEM merge sort (Arge, Goodrich, Nelson and Sitchinava,
+    SPAA 2008): form presorted runs locally, then merge in parallel to R."""
     cfg = machine.config
+    d = merge_degree(H, cfg.P, cfg.B, cfg.M)
     fanin = _effective_fanin(cfg, d)
     target_local = max(1, R // cfg.P)
     local = each_share(machine, region.blocks, lambda p, lo, hi: _formation_and_local_merge(
@@ -356,39 +347,29 @@ def _column_runs(machine: Machine, region: Region) -> list[Run]:
     return [Run(region, lo, hi) for lo, hi in _key_stretches(elems, 1)]
 
 
-def _merge_passes(n: int, fanin: int) -> int:
-    """Whole merge passes that take n runs to one."""
-    passes = 0
-    while n > 1:
-        n = ceil_div(n, fanin)
-        passes += 1
-    return passes
-
-
 def _formed_runs(cfg: MachineConfig, H: int) -> int:
     """Runs that run formation leaves: P*ceil(ceil(H/P)/M)."""
     return cfg.P * ceil_div(ceil_div(H, cfg.P), cfg.M)
 
 
 def prepare_map(machine: Machine, region: Region, instance: ShuffleInstance,
-                R: int) -> MetaRunSet:
+                R: int) -> list[Run]:
     """Meta-runs of a map output; the instance layout picks the path.
 
     Mixed column input (unordered map) goes through the parallel merge
     sort.  In column major input (sorted map) the columns are presorted
-    runs, merged straight down to R by the parallel merge, as
-    ``complete_sort`` does, when there are no more of them than R or
-    than the runs run formation would leave; with more columns than
-    that the input is sorted instead.
+    runs, merged straight down to R by the parallel merge when there are
+    no more of them than R or than the runs run formation would leave,
+    and sorted otherwise.  No other step reads the layout.
     """
     cfg = machine.config
     H = instance.H
-    d = merge_degree(H, cfg.P, cfg.B, cfg.M)
     if instance.layout == COLUMN_MAJOR:
         columns = _column_runs(machine, region)
         if len(columns) <= max(R, _formed_runs(cfg, H)):
+            d = merge_degree(H, cfg.P, cfg.B, cfg.M)
             return parallel_merge_to_R(machine, columns, R, d)
-    return _sort_to_runs(machine, region, H, R, d)
+    return _sort_to_runs(machine, region, H, R)
 
 
 def meta_column_capacity(config: MachineConfig, H: int) -> int:
@@ -397,7 +378,7 @@ def meta_column_capacity(config: MachineConfig, H: int) -> int:
 
 
 def prepare_parallel_map(machine: Machine, vec_region: Region, task: MapTask,
-                         R: int) -> MetaRunSet:
+                         R: int) -> list[Run]:
     """Run the map phase itself: emit meta-columns row-wise, then merge.
 
     Input vectors sit column-major in ``vec_region``; each processor
@@ -504,11 +485,11 @@ class Tile:
     size: int
 
 
-def tile_table(machine: Machine, meta: MetaRunSet) -> list[Tile]:
+def tile_table(machine: Machine, runs: Sequence[Run]) -> list[Tile]:
     """Tiles in current (run, row) order with global start positions."""
     tiles: list[Tile] = []
     pos = 0
-    for ri, run in enumerate(meta.runs):
+    for ri, run in enumerate(runs):
         elems = run_elements(machine, run)
         for lo, hi in _key_stretches(elems, 0):
             tiles.append(Tile(ri, elems[lo].key[0], pos + lo, hi - lo))
@@ -516,7 +497,7 @@ def tile_table(machine: Machine, meta: MetaRunSet) -> list[Tile]:
     return tiles
 
 
-def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
+def finalize_nonparallel_reduce(machine: Machine, runs: Sequence[Run]) -> Region:
     """Rearrange tiles into a fully row-major region.
 
     Scans record every tile start into table S (one block per entry);
@@ -526,13 +507,13 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
     """
     cfg = machine.config
     P, B = cfg.P, cfg.B
-    runs = [r for r in meta.runs if r.count > 0]
+    runs = [r for r in runs if r.count > 0]
     if not runs:
         return machine.alloc_region(0)
     if len(runs) == 1 and runs[0].lo == 0 and runs[0].hi == runs[0].region.count:
         return runs[0].region   # already row-major and dense
     H = sum(r.count for r in runs)
-    tiles = tile_table(machine, MetaRunSet(tuple(runs)))
+    tiles = tile_table(machine, runs)
     T = len(tiles)
     start_of_tile = {t.start: ti for ti, t in enumerate(tiles)}
 
@@ -611,7 +592,7 @@ def finalize_nonparallel_reduce(machine: Machine, meta: MetaRunSet) -> Region:
     return contract(machine, staging)
 
 
-def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet, N_R: int,
+def finalize_parallel_reduce(machine: Machine, runs: Sequence[Run], N_R: int,
                              w: int) -> Region:
     """Sum meta-runs into the dense (row, destination) result grid.
 
@@ -621,7 +602,7 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet, N_R: int,
     N_R x w grid (0 where no triple contributed).
     """
     B = machine.config.B
-    runs = [r for r in meta.runs if r.count > 0]
+    runs = [r for r in runs if r.count > 0]
     H = sum(r.count for r in runs)
     grid = machine.alloc_region(N_R * w)
     if not runs:
@@ -670,7 +651,7 @@ def finalize_parallel_reduce(machine: Machine, meta: MetaRunSet, N_R: int,
     # fold order equal to the original sequence order per key.
     segments = [frags[k] for k in sorted(frags)]
     merged = parallel_merge_to_R(machine, segments, 1, combine=operator.add)
-    final = merged.runs[0] if merged.runs else None
+    final = merged[0] if merged else None
     return _fill_grid(machine, grid, final, N_R, w)
 
 
@@ -755,25 +736,12 @@ def direct_shuffle(machine: Machine, region: Region, instance: ShuffleInstance,
 
 def complete_sort(machine: Machine, region: Region,
                   instance: ShuffleInstance) -> Region:
-    """Sort the whole instance row-wise, whatever its layout.
-
-    Column major input merges its presorted columns straight to one run
-    when that takes no more merge passes than run formation plus the
-    merge passes of the formed runs; everything else goes through the
-    full parallel merge sort.  Both paths end in one run, which the
-    tile reduce passes through, so merge passes alone decide the cost.
+    """Sort the whole instance row-wise by the parallel merge sort down
+    to one run, which the tile reduce passes through.  The cost depends
+    only on the order of the triples, not on the layout label.
     """
-    cfg = machine.config
-    H = instance.H
-    d = merge_degree(H, cfg.P, cfg.B, cfg.M)
-    if instance.layout == COLUMN_MAJOR:
-        columns = _column_runs(machine, region)
-        fanin = _effective_fanin(cfg, d)
-        if _merge_passes(len(columns), fanin) <= 1 + _merge_passes(_formed_runs(cfg, H), fanin):
-            meta = parallel_merge_to_R(machine, columns, 1, d)
-            return finalize_nonparallel_reduce(machine, meta)
-    meta = _sort_to_runs(machine, region, H, 1, d)
-    return finalize_nonparallel_reduce(machine, meta)
+    runs = _sort_to_runs(machine, region, instance.H, 1)
+    return finalize_nonparallel_reduce(machine, runs)
 
 
 # -- instance loading ---------------------------------------------------------

@@ -21,8 +21,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _spec_from_args(parser: argparse.ArgumentParser, args) -> harness.ExperimentSpec:
     """The grid file's spec with the command line overrides; a bad grid
-    file, an algorithm list with an unknown name or none, or a grid that
-    leaves no row to run is a usage error (exit 2)."""
+    file, an algorithm list with an unknown name, a repeated one or none,
+    or a grid that leaves no row to run is a usage error (exit 2)."""
     try:
         spec = harness.load_spec(args.grid)
     except (ValueError, OSError) as exc:
@@ -36,6 +36,9 @@ def _spec_from_args(parser: argparse.ArgumentParser, args) -> harness.Experiment
         for a in names:
             if a not in harness.PIPELINES:
                 parser.error(f"unknown algorithm {a!r}")
+        repeat = harness.first_repeat(names)
+        if repeat is not None:
+            parser.error(f"--algorithms {args.algorithms!r} names {repeat!r} twice")
         spec.algorithms = names
     if args.policy:
         spec.policy = args.policy

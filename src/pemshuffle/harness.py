@@ -59,12 +59,18 @@ class ExperimentSpec:
         return out
 
 
+def first_repeat(items: list):
+    """The first entry of ``items`` that an earlier one equals, or None."""
+    return next((x for i, x in enumerate(items) if x in items[:i]), None)
+
+
 def parse_spec_text(text: str) -> ExperimentSpec:
-    """Parse the line-oriented ``key = value`` config with list syntax."""
-    grid: dict[str, list[int]] = {}
-    algorithms = list(PIPELINES)
-    seeds = [0]
-    policy = CREW
+    """Parse the line-oriented ``key = value`` config with list syntax.
+
+    A key given on two lines, or an entry listed twice, is an error: it
+    would run a row twice or drop a line without a word.
+    """
+    given: dict[str, list] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,37 +78,40 @@ def parse_spec_text(text: str) -> ExperimentSpec:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if value.startswith("[") and value.endswith("]"):
             items = [x.strip() for x in value[1:-1].split(",") if x.strip()]
         else:
             items = [value]
         if key in GRID_KEYS or key == "seeds":
             try:
-                ints = [int(x) for x in items]
+                items = [int(x) for x in items]
             except ValueError:
                 raise ValueError(f"line {lineno}: {key} values must be integers, "
                                  f"got {value}") from None
-        if key in GRID_KEYS:
-            grid[key] = ints
-            if any(x < 1 for x in grid[key]):
+            if key in GRID_KEYS and any(x < 1 for x in items):
                 raise ValueError(f"line {lineno}: {key} values must be >= 1, got {value}")
-        elif key == "algorithms":
-            algorithms = items
-        elif key == "seeds":
-            seeds = ints
         elif key == "policy":
             if value not in (CREW, EREW):
                 raise ValueError(f"line {lineno}: unknown policy {value!r}; "
                                  f"known: {CREW}, {EREW}")
-            policy = value
-        else:
+        elif key != "algorithms":
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        repeat = first_repeat(items)
+        if repeat is not None:
+            raise ValueError(f"line {lineno}: {key} lists {repeat!r} twice")
+        # a repeated empty list is let through: the command line refuses
+        # it for leaving no row to run
+        if items and key in given:
+            raise ValueError(f"line {lineno}: {key} is given twice")
+        given[key] = items
+    algorithms = given.get("algorithms", list(PIPELINES))
     for a in algorithms:
         if a not in PIPELINES:
             raise ValueError(f"unknown algorithm {a!r}; known: {', '.join(PIPELINES)}")
-    return ExperimentSpec(grid, algorithms, seeds, policy)
+    grid = {k: v for k, v in given.items() if k in GRID_KEYS}
+    return ExperimentSpec(grid, algorithms, given.get("seeds", [0]),
+                          given.get("policy", [CREW])[0])
 
 
 def load_spec(path: str) -> ExperimentSpec:
@@ -171,7 +180,7 @@ def _skip_reason(params: cm.Params, pipe: Pipeline) -> str | None:
 
 
 # Map-dependent step per cost-model map type: (machine, region, loaded
-# instance or map task, R) -> output Region or MetaRunSet.  The entries
+# instance or map task, R) -> output Region or its meta-runs.  The entries
 # look their function up in ``alg`` at call time, so a wrapper put on a
 # module attribute after import sees the call.
 _MAP_STEP = {
@@ -209,7 +218,7 @@ def run_pipeline(algorithm: str, instance: ShuffleInstance, machine: Machine, re
     R = (alg.parallel_run_target(H, N_R, w, B) if pipe.parallel_reduce
          else alg.nonparallel_run_target(H, N_R, B))
     out = _MAP_STEP[pipe.cell[0]](machine, region, run_input, R)
-    if not isinstance(out, alg.MetaRunSet):
+    if isinstance(out, Region):
         return out, None
     if pipe.parallel_reduce:
         return alg.finalize_parallel_reduce(machine, out, N_R, w), R

@@ -46,12 +46,7 @@ from pemshuffle.harness import (
 )
 from pemshuffle.machine import CREW, EREW, IOTrace, Machine
 
-ALL_PIPELINES = [
-    "direct_shuffle", "complete_sort",
-    "unordered_nonparallel", "sorted_nonparallel", "parallel_map_nonparallel",
-    "unordered_parallel", "sorted_parallel", "parallel_map_parallel",
-    "prim_gather", "prim_scatter", "prim_prefix_sum",
-]
+ALL_PIPELINES = list(PIPELINES)
 
 # Asymptotic-tracking configuration: H doubles across 2^10..2^14 at
 # fixed (P, B, M, N_R), so measured/leading ratios expose any drift.

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from pemshuffle import algorithms as alg
 from pemshuffle import cost_model as cm
 from pemshuffle.algorithms import (
-    MetaRunSet,
     Run,
     _block_pieces,
     complete_sort,
@@ -92,14 +91,29 @@ def presorted_runs(machine, n_runs, run_len, B, seed=0):
     return runs
 
 
+@pytest.fixture
+def merge_rounds(monkeypatch):
+    """Counts the parallel merge rounds run: ``_merge_groups_parallel``
+    is called once per round."""
+    calls = []
+    inner = alg._merge_groups_parallel
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(alg, "_merge_groups_parallel", counted)
+    return calls
+
+
 class TestParallelMerge:
-    def test_sixteen_runs_to_four_in_two_rounds(self):
+    def test_sixteen_runs_to_four_in_two_rounds(self, merge_rounds):
         m = create_machine(MachineConfig(P=4, M=12, B=4))
         runs = presorted_runs(m, 16, 8, 4)
         meta = parallel_merge_to_R(m, runs, R=4, d=2)
-        assert len(meta.runs) == 4
-        assert meta.rounds == 2
-        for r in meta.runs:
+        assert len(meta) == 4
+        assert len(merge_rounds) == 2
+        for r in meta:
             keys = [e.key for e in run_elements(m, r)]
             assert keys == sorted(keys)
 
@@ -109,7 +123,7 @@ class TestParallelMerge:
         before = m.io_count
         meta = parallel_merge_to_R(m, runs, R=4, d=2)
         assert m.io_count == before
-        assert meta.runs == tuple(runs)
+        assert meta == runs
 
     def test_merge_preserves_multiset(self):
         m = create_machine(MachineConfig(P=4, M=12, B=4))
@@ -117,16 +131,16 @@ class TestParallelMerge:
         everything = sorted(e.payload for r in runs
                             for e in run_elements(m, r))
         meta = parallel_merge_to_R(m, runs, R=2, d=3)
-        got = sorted(e.payload for r in meta.runs
+        got = sorted(e.payload for r in meta
                      for e in run_elements(m, r))
         assert got == everything
 
-    def test_sixty_four_to_eight_with_degree_four(self):
+    def test_sixty_four_to_eight_with_degree_four(self, merge_rounds):
         m = create_machine(MachineConfig(P=8, M=24, B=4))
         runs = presorted_runs(m, 64, 4, 4, seed=4)
         meta = parallel_merge_to_R(m, runs, R=8, d=4)
-        assert len(meta.runs) == 8
-        assert meta.rounds == 2   # ceil(log4(64/8))
+        assert len(meta) == 8
+        assert len(merge_rounds) == 2   # ceil(log4(64/8))
 
 
 class TestPrepareUnordered:
@@ -137,20 +151,20 @@ class TestPrepareUnordered:
         R = nonparallel_run_target(4096, 64, 8)
         assert R == 8
         meta = prepare_map(m, region, inst, R)
-        assert len(meta.runs) == 8
-        for r in meta.runs:
+        assert len(meta) == 8
+        for r in meta:
             keys = [e.key for e in run_elements(m, r)]
             assert keys == sorted(keys)
-        assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
+        assert fingerprint(m, meta) == oracle_shuffle(inst)
 
-    def test_local_only_when_fits(self):
+    def test_local_only_when_fits(self, merge_rounds):
         # R >= P and each processor's share fits in one memory load
         inst = generate(16, 16, 128, layout=MIXED_COLUMN, seed=1)
         cfg = MachineConfig(P=4, M=64, B=4)
         m, region = machine_with_instance(cfg, inst)
         meta = prepare_map(m, region, inst, R=8)
-        assert meta.rounds == 0
-        assert len(meta.runs) <= 8
+        assert len(merge_rounds) == 0
+        assert len(meta) <= 8
         # formation only: one read and one write per block
         assert m.io_count <= 2 * math.ceil(region.blocks / 4)
 
@@ -180,7 +194,7 @@ class TestPrepareSorted:
         m, region = machine_with_instance(cfg, inst)
         meta = prepare_map(m, region, inst, R=8)
         assert m.io_count == 0
-        assert len(meta.runs) <= 8
+        assert len(meta) <= 8
 
     def test_thin_rows_dispatch_to_unordered_path(self):
         # H/N_R < B: columns cannot serve the reduce side directly
@@ -189,7 +203,7 @@ class TestPrepareSorted:
         m, region = machine_with_instance(cfg, inst)
         assert inst.H / inst.N_R < cfg.B
         meta = prepare_map(m, region, inst, nonparallel_run_target(128, 64, 4))
-        assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
+        assert fingerprint(m, meta) == oracle_shuffle(inst)
         out = finalize_nonparallel_reduce(m, meta)
         assert region_payloads(m, out) == oracle_shuffle(inst)
 
@@ -207,7 +221,7 @@ class TestPrepareSorted:
         cfg = MachineConfig(P=4, M=24, B=4)
         m, region = machine_with_instance(cfg, inst)
         meta = prepare_map(m, region, inst, nonparallel_run_target(128, 8, 4))
-        assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
+        assert fingerprint(m, meta) == oracle_shuffle(inst)
 
     # (point, forced column-merge counts, forced sorting counts) of the
     # (sorted_nonparallel, sorted_parallel) rows at seed 0: merging the
@@ -236,15 +250,15 @@ class TestPrepareSorted:
 
 
 class TestPrepareParallelMap:
-    def test_nothing_to_do_when_meta_columns_fit(self):
+    def test_nothing_to_do_when_meta_columns_fit(self, merge_rounds):
         inst = generate(8, 16, 128, layout=COLUMN_MAJOR, seed=8)
         cfg = MachineConfig(P=2, M=64, B=4)
         m, vec = machine_with_vectors(cfg, make_map_task(inst))
         meta = prepare_parallel_map(m, vec, make_map_task(inst),
                                     nonparallel_run_target(128, 16, 4))
-        assert meta.rounds == 0
+        assert len(merge_rounds) == 0
 
-    def test_one_merge_level(self):
+    def test_one_merge_level(self, merge_rounds):
         # 16 columns in meta-columns of 4: four runs merged to 2 in one round
         inst = generate(16, 16, 256, layout=COLUMN_MAJOR, seed=9)
         cfg = MachineConfig(P=2, M=6, B=2)
@@ -252,8 +266,8 @@ class TestPrepareParallelMap:
         task = make_map_task(inst)
         m, vec = machine_with_vectors(cfg, task)
         meta = prepare_parallel_map(m, vec, task, R=2)
-        assert meta.rounds == 1
-        assert len(meta.runs) == 2
+        assert len(merge_rounds) == 1
+        assert len(meta) == 2
 
     def test_emission_conserved(self):
         inst = generate(16, 16, 256, v=2, layout=COLUMN_MAJOR, seed=10)
@@ -261,7 +275,7 @@ class TestPrepareParallelMap:
         task = make_map_task(inst)
         m, vec = machine_with_vectors(cfg, task)
         meta = prepare_parallel_map(m, vec, task, nonparallel_run_target(256, 16, 4))
-        assert fingerprint(m, meta.runs) == oracle_shuffle(inst)
+        assert fingerprint(m, meta) == oracle_shuffle(inst)
 
     def test_vectors_above_capacity_rejected(self):
         # a meta-column of one column pins v = 9 > M - B = 8 entries
@@ -289,7 +303,7 @@ class TestFinalizeNonparallel:
         m = create_machine(MachineConfig(P=2, M=12, B=4))
         runs = presorted_runs(m, 1, 16, 4)
         before = m.io_count
-        out = finalize_nonparallel_reduce(m, MetaRunSet(tuple(runs)))
+        out = finalize_nonparallel_reduce(m, runs)
         assert out == runs[0].region
         assert m.io_count == before
 
@@ -308,7 +322,7 @@ class TestFinalizeNonparallel:
                 m.parallel_step([Output(region.addr(bi), elems)])
                 m.discard(0, elems)
             regions.append(Run(region, 0, len(chunk)))
-        meta = MetaRunSet(tuple(regions))
+        meta = regions
         tiles = tile_table(m, meta)
         # current order: (run1: row1 size2, row3 size1), (run2: row1, row2 size2, row4)
         assert [(t.run, t.row, t.size) for t in tiles] == \
@@ -431,18 +445,21 @@ class TestCompleteSort:
         assert region_payloads(m, out) == oracle_shuffle(inst)
         m.assert_memories_empty()
 
-    def test_presorted_columns_help(self):
-        # same triple multiset in both layouts, long columns
+    def test_presorted_columns_cost_the_same(self):
+        # the same triples in the same order, labelled both ways, long
+        # columns: complete sorting is layout-blind, so both cost the same
         column = generate(16, 64, 1024, layout=COLUMN_MAJOR, seed=22)
         mixed = ShuffleInstance(
             column.N_M, column.N_R, column.H, column.v, column.w,
             MIXED_COLUMN, column.triples, column.seed)
         cfg = MachineConfig(P=4, M=24, B=4)
-        m1, r1 = machine_with_instance(cfg, column)
-        complete_sort(m1, r1, column)
-        m2, r2 = machine_with_instance(cfg, mixed)
-        complete_sort(m2, r2, mixed)
-        assert m1.io_count <= m2.io_count
+        ios = []
+        for inst in (column, mixed):
+            m, region = machine_with_instance(cfg, inst)
+            out = complete_sort(m, region, inst)
+            assert region_payloads(m, out) == oracle_shuffle(inst)
+            ios.append(m.io_count)
+        assert ios == [504, 504]
 
     def test_monotone_in_h(self):
         cfg = MachineConfig(P=4, M=24, B=4)
@@ -460,7 +477,7 @@ def test_finalize_single_sliced_run_copies_out():
     m = create_machine(MachineConfig(P=2, M=12, B=4))
     runs = presorted_runs(m, 1, 16, 4, seed=8)
     sliced = Run(runs[0].region, 4, 12)
-    out = finalize_nonparallel_reduce(m, MetaRunSet((sliced,)))
+    out = finalize_nonparallel_reduce(m, [sliced])
     assert [e.key for e in m.region_elements(out)] == \
         [e.key for e in run_elements(m, sliced)]
     m.assert_memories_empty()

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -69,6 +70,23 @@ class TestSpecParsing:
         # v = 0 used to crash the sweep, P = 0 and B = 0 gave failed rows
         with pytest.raises(ValueError, match=f"line 2: {key} values must be >= 1"):
             parse_spec_text(f"H = [64]\n{key} = [2, 0]\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("H = [64, 128, 64]\n", "line 1: H lists 64 twice"),
+        ("seeds = [0, 0]\n", "line 1: seeds lists 0 twice"),
+        ("H = [64]\nalgorithms = [complete_sort, complete_sort]\n",
+         "line 2: algorithms lists 'complete_sort' twice"),
+        ("H = [256]\nH = [512]\n", "line 2: H is given twice"),
+        ("seeds = [0]\n# again\nseeds = [1]\n", "line 3: seeds is given twice"),
+        ("algorithms = [direct_shuffle]\nalgorithms = [complete_sort]\n",
+         "line 2: algorithms is given twice"),
+        ("policy = crew\npolicy = erew\n", "line 2: policy is given twice"),
+    ], ids=["grid-entry", "seed", "algorithm", "grid-key", "seeds-key", "algorithms-key",
+            "policy-key"])
+    def test_repeats_are_errors(self, text, message):
+        # a repeat ran one row twice, or kept only a key's last line
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_spec_text(text)
 
 
 PRIMITIVE_POINT = {"N_M": 16, "N_R": 16, "H": 128, "v": 1, "w": 1,
@@ -538,6 +556,35 @@ class TestCli:
             assert out == ""
             assert err.splitlines()[-1] == \
                 f"pemshuffle: error: {path}: an empty list leaves no row to run"
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("seeds = [0]", "seeds = [0, 0]", "line 12: seeds lists 0 twice"),
+        ("seeds = [0]", "seeds = [" + ", ".join(["0"] * 10) + "]",
+         "line 12: seeds lists 0 twice"),
+        ("H = [128, 256]", "H = [128, 256]\nH = [512]", "line 6: H is given twice"),
+    ], ids=["two-seeds", "ten-seeds", "grid-key"])
+    def test_repeated_grid_entry_is_a_usage_error(self, tmp_path, capsys, old, new, message):
+        # ten copies of one seed used to pass calibrate's ten-row guard
+        path = tmp_path / "grid.cfg"
+        path.write_text(SMALL_GRID.replace(old, new))
+        for command in ("sweep", "calibrate", "verify", "bounds"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([command, "--grid", str(path)])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.splitlines()[-1] == f"pemshuffle: error: {path}: {message}"
+            assert err.count("pemshuffle: error:") == 1
+
+    def test_repeated_algorithm_is_a_usage_error(self, tmp_path, capsys):
+        grid = self.write_grid(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--grid", grid, "--algorithms", "complete_sort,complete_sort"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == ("pemshuffle: error: --algorithms "
+                                        "'complete_sort,complete_sort' names 'complete_sort' twice")
 
     def test_erew_policy_flag(self, tmp_path):
         grid = self.write_grid(tmp_path)
